@@ -7,15 +7,11 @@ entrywise max norm.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
-
 import numpy as np
 
-from .errors import DomainError, ValidationError, require_level
+from .errors import DomainError, require_level
 
 TAYLOR_ORDER = 16
-CONTEXT_TOL = 1e-13
 
 
 def max_abs(a) -> float:
@@ -25,8 +21,7 @@ def max_abs(a) -> float:
 
 def primitive_root(n: int) -> complex:
     """exp(2*pi*i/n), generator of the n-th roots of unity."""
-    n = require_level(n)
-    return complex(np.exp(2j * np.pi / n))
+    return complex(roots_of_unity(n)[1])
 
 
 def shift_matrix(n: int) -> np.ndarray:
@@ -38,11 +33,34 @@ def shift_matrix(n: int) -> np.ndarray:
     return m
 
 
+def roots_of_unity(n: int) -> np.ndarray:
+    """The n-th roots of unity s^k, k = 0..n-1, with s = exp(2*pi*i/n)."""
+    n = require_level(n)
+    return np.exp(2j * np.pi * np.arange(n) / n)
+
+
+def circulant_column(eig) -> np.ndarray:
+    """First column of the circulant whose eigenvalue on the k-th Fourier mode is eig[k].
+
+    Entry m is (1/n) sum_k s^(-m*k) eig[k], every m at once by one FFT
+    (O(n log n)).  Because the DFT diagonalizes every circulant, this is
+    the single kernel behind exp(x * shift), the roots-of-unity filter and
+    the generating-matrix classes.
+    """
+    eig = np.asarray(eig, dtype=complex)
+    return np.fft.fft(eig) / eig.size
+
+
+def circulant(col) -> np.ndarray:
+    """Dense circulant with first column col: entry (i, k) is col[(i - k) mod n]."""
+    col = np.asarray(col)
+    k = np.arange(col.size)
+    return col[(k[:, None] - k[None, :]) % col.size]
+
+
 def clock_matrix(n: int) -> np.ndarray:
     """diag(1, s, ..., s^(n-1)) with s = exp(2*pi*i/n)."""
-    n = require_level(n)
-    k = np.arange(n)
-    return np.diag(np.exp(2j * np.pi * k / n))
+    return np.diag(roots_of_unity(n))
 
 
 def shift_power(n: int, j: int) -> np.ndarray:
@@ -126,21 +144,6 @@ def determinant(a) -> complex:
     return complex(det)
 
 
-@dataclass(frozen=True)
-class PauliContext:
-    """Validated bundle of the level-n clock/shift system.
-
-    sigma is the primitive n-th root of unity, sigma1 the cyclic shift,
-    sigma3 the clock, and w the unitary that diagonalizes the shift.
-    """
-
-    n: int
-    sigma: complex
-    sigma1: np.ndarray
-    sigma3: np.ndarray
-    w: np.ndarray
-
-
 def pauli_residuals(n: int) -> dict[str, float]:
     """Max-norm residuals of the defining relations at level n.
 
@@ -165,21 +168,3 @@ def pauli_residuals(n: int) -> dict[str, float]:
         "unitary": max_abs(w @ w.conj().T - eye),
         "diagonalization": diagonalize_shift_residual(n),
     }
-
-
-@lru_cache(maxsize=128)
-def pauli_context(n: int) -> PauliContext:
-    """Build and validate the level-n context; cached per n."""
-    n = require_level(n)
-    worst = max(pauli_residuals(n).values())
-    if worst > CONTEXT_TOL:
-        raise ValidationError(
-            f"clock/shift relations violated at n={n}: residual {worst:.3e}"
-        )
-    return PauliContext(
-        n=n,
-        sigma=primitive_root(n),
-        sigma1=shift_matrix(n),
-        sigma3=clock_matrix(n),
-        w=dft_matrix(n),
-    )

@@ -19,9 +19,12 @@ import numpy as np
 from .errors import DomainError
 
 X_MAX = 700.0
+# bound on |x| * max(|w|, 1/|w|) for the generating function and its matrix form
+ARG_MAX = 50.0
 _SERIES_X_MAX = 20.0
 _SERIES_ORDER_MAX = 30
-_RESCALE_LIMIT = 1e250
+_RESCALE_BITS = 830
+_RESCALE_LIMIT = 2.0 ** _RESCALE_BITS  # about 7.5e249
 # below this the per-step factor 2m/x could overflow between rescales
 _MILLER_X_MIN = 1e-6
 _TINY = np.finfo(float).tiny
@@ -32,6 +35,26 @@ def _require_x(x) -> float:
     if not math.isfinite(x) or abs(x) > X_MAX:
         raise DomainError(f"overflow-domain: need |x| <= {X_MAX}, got {x!r}")
     return x
+
+
+def unit_scale(x: float, w: complex) -> float:
+    """|x| * max(|w|, 1/|w|), the working magnitude of the generating function sums.
+
+    Raises DomainError unless w is nonzero and finite and the magnitude
+    is at most ARG_MAX, so exp(unit_scale(x, w)) never overflows.
+    """
+    w = complex(w)
+    if w == 0:
+        raise DomainError("invalid-argument: w must be nonzero")
+    if not (math.isfinite(w.real) and math.isfinite(w.imag)):
+        raise DomainError(f"invalid-argument: w must be finite, got {w!r}")
+    r = math.hypot(w.real, w.imag)  # inf, not OverflowError, for huge finite w
+    scale = abs(float(x)) * max(r, 1.0 / r)
+    if not scale <= ARG_MAX:
+        raise DomainError(
+            f"overflow-domain: need |x|*max(|w|,1/|w|) <= {ARG_MAX}, got x={float(x)!r}, w={w!r}"
+        )
+    return scale
 
 
 def _require_order(k) -> int:
@@ -69,15 +92,23 @@ def _series_i(k: int, x: float, tol: float) -> float:
 
 def _miller_values(kmax: int, x: float) -> np.ndarray:
     # one backward pass at x > 0; returns the full normalized array,
-    # orders 0 .. miller_start_order(kmax, x) + 1
+    # orders 0 .. miller_start_order(kmax, x) + 1.  A rescale divides only
+    # the two live iterates: the stored orders get the rescales they missed
+    # (those at steps m < i) exactly, by ldexp, together with the
+    # normalization, so a normal-double value is never flushed to zero.
     m_start = miller_start_order(kmax, x)
     p = np.zeros(m_start + 2)
     p[m_start] = 1.0
+    missed = np.zeros(m_start + 2, dtype=int)
     for m in range(m_start, 0, -1):
         p[m - 1] = p[m + 1] + (2.0 * m / x) * p[m]
         if p[m - 1] > _RESCALE_LIMIT:
-            p *= 1.0 / _RESCALE_LIMIT
-    return p * (math.exp(x) / (p[0] + 2.0 * p[1:].sum()))
+            p[m - 1:m + 1] *= 1.0 / _RESCALE_LIMIT
+            missed[m + 1] -= _RESCALE_BITS
+    shift = np.cumsum(missed)
+    scaled = np.ldexp(p, shift)
+    mantissa, exponent = math.frexp(math.exp(x) / (scaled[0] + 2.0 * scaled[1:].sum()))
+    return np.ldexp(p * mantissa, shift + exponent)
 
 
 @dataclass(frozen=True)
@@ -219,14 +250,14 @@ def classic_identity_residuals(x: float, K: int) -> ClassicResiduals:
 def generating_function_residual(x: float, w: complex, K: int) -> float:
     """|exp((x/2)(w + 1/w)) - sum_{|k|<=K} I_k(x) w^k|.
 
-    w must be nonzero; the truncated bilateral sum folds negative orders
-    through I_{-k} = I_k.  Useful accuracy needs |w| within roughly
-    [0.5, 2], where the w^k tails still decay against I_k.
+    w must be nonzero with |x| * max(|w|, 1/|w|) <= ARG_MAX; the
+    truncated bilateral sum folds negative orders through I_{-k} = I_k.
+    Useful accuracy needs |w| within roughly [0.5, 2], where the w^k
+    tails still decay against I_k.
     """
     x = _require_x(x)
+    unit_scale(x, w)
     w = complex(w)
-    if w == 0:
-        raise DomainError("invalid-argument: w must be nonzero")
     K = _require_order(K)
     if K < 0:
         raise DomainError(f"invalid-index: need K >= 0, got {K}")

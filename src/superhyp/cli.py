@@ -41,6 +41,8 @@ def parse_grid(text: str) -> list[float]:
         a_text, _, b_text = span.partition("..")
         a, b = float(a_text), float(b_text)
         step = float(step_text) if step_text else 1.0
+        if not all(map(math.isfinite, (a, b, step))):
+            raise ValueError(f"grid range must be finite, got {text!r}")
         if step <= 0:
             raise ValueError(f"grid step must be positive, got {step}")
         ratio = (b - a) / step

@@ -3,9 +3,13 @@
 exp((x/2) (w * shift + (1/w) * shift^dagger)) is a circulant whose
 coefficient of shift^m collects the orders congruent to m mod n of the
 scalar generating function sum_k I_k(x) w^k.  Trace projections against
-shift powers extract one residue class at a time, and three independent
-routes to each class value are provided: the literal trace, the closed
-scalar sum over roots of unity, and the truncated bilateral Bessel sum.
+shift powers extract one residue class at a time, by three independent
+routes: the literal trace of the matrix built from one FFT
+(`trace_projection`); the direct, FFT-free O(n) roots-of-unity sum
+`exponential_sum`, the reference of the trace_vs_sum check; and the
+truncated bilateral Bessel sum `bessel_comb_series`, the reference of
+trace_vs_bessel.  The completeness check compares the sum of all n
+traces with exp((x/2)(w + 1/w)).
 """
 
 from __future__ import annotations
@@ -16,36 +20,14 @@ import numpy as np
 
 from dataclasses import dataclass
 
-from .algebra import dft_matrix, shift_power
-from .bessel import bessel_table
+from .algebra import circulant, circulant_column, roots_of_unity
+from .bessel import bessel_table, unit_scale
 from .errors import DomainError, require_index, require_level
-
-ARG_MAX = 50.0
-
-
-def _require_w(w) -> complex:
-    w = complex(w)
-    if w == 0:
-        raise DomainError("invalid-argument: w must be nonzero")
-    if not (math.isfinite(w.real) and math.isfinite(w.imag)):
-        raise DomainError(f"invalid-argument: w must be finite, got {w!r}")
-    return w
-
-
-def unit_scale(x: float, w: complex) -> float:
-    """|x| * max(|w|, 1/|w|), the working magnitude of all the sums here."""
-    return abs(float(x)) * max(abs(w), 1.0 / abs(w))
-
 
 def _require_args(n, x, w):
     n = require_level(n)
-    w = _require_w(w)
-    x = float(x)
-    if not math.isfinite(x) or unit_scale(x, w) > ARG_MAX:
-        raise DomainError(
-            f"overflow-domain: need |x|*max(|w|,1/|w|) <= {ARG_MAX}, got x={x!r}, w={w!r}"
-        )
-    return n, x, w
+    unit_scale(x, w)
+    return n, float(x), complex(w)
 
 
 @dataclass(frozen=True)
@@ -62,33 +44,32 @@ def generating_matrix(n: int, x: float, w: complex) -> GeneratingMatrixEval:
     """Evaluate the matrix generating function spectrally.
 
     The eigenvalues are exp((x/2)(w s^k + s^(-k)/w)) over the n-th roots
-    of unity s^k; only the first column is formed (O(n^2)) and the
-    circulant is rolled out from it.
+    of unity s^k: O(n log n) column (one FFT of the eigenvalues), O(n^2)
+    dense gather of the circulant from it.
     """
     n, x, w = _require_args(n, x, w)
-    k = np.arange(n)
-    roots = np.exp(2j * np.pi * k / n)
+    roots = roots_of_unity(n)
     eig = np.exp((x / 2.0) * (w * roots + np.conj(roots) / w))
-    col = dft_matrix(n) @ (eig / np.sqrt(n))
-    idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
-    return GeneratingMatrixEval(n=n, x=x, w=w, matrix=col[idx])
+    return GeneratingMatrixEval(n=n, x=x, w=w, matrix=circulant(circulant_column(eig)))
 
 
 def trace_projection(n: int, x: float, w: complex, j: int) -> complex:
-    """(1/n) tr(generating matrix @ shift^j), the literal trace route."""
+    """(1/n) tr(generating matrix @ shift^j), the literal trace route.
+
+    Taken over M rolled left by j, as (M @ shift^j)[i, i] = M[i, (i+j) mod n].
+    """
     n, x, w = _require_args(n, x, w)
     j = require_index(j, n)
     m = generating_matrix(n, x, w).matrix
-    return complex(np.trace(m @ shift_power(n, j)) / n)
+    return complex(np.trace(np.roll(m, -j, axis=1)) / n)
 
 
 def exponential_sum(n: int, x: float, w: complex, j: int) -> complex:
-    """(1/n) sum_l s^(l*j) exp((x/2)(w s^l + s^(-l)/w)), the closed scalar form."""
+    """(1/n) sum_l s^(l*j) exp((x/2)(w s^l + s^(-l)/w)), the closed scalar form, summed directly."""
     n, x, w = _require_args(n, x, w)
     j = require_index(j, n)
-    l = np.arange(n)
-    roots = np.exp(2j * np.pi * l / n)
-    phases = np.exp(2j * np.pi * ((l * j) % n) / n)
+    roots = roots_of_unity(n)
+    phases = roots[(np.arange(n) * j) % n]
     return complex((phases * np.exp((x / 2.0) * (w * roots + np.conj(roots) / w))).sum() / n)
 
 
@@ -100,7 +81,7 @@ def default_comb_truncation(n: int, x: float, w: complex, j: int) -> int:
     """
     n = require_level(n)
     j = require_index(j, n)
-    K = n * int(math.ceil((unit_scale(x, _require_w(w)) + 30.0) / n)) + j
+    K = n * int(math.ceil((unit_scale(x, w) + 30.0) / n)) + j
     while K < n + abs(float(x)) + 20:
         K += n
     return K

@@ -8,7 +8,14 @@ and both routes are implemented so each can check the other.
 
 The vector (c_0(x), ..., c_{n-1}(x)) is the first column of the
 circulant matrix exp(x * shift), which is where the determinant,
-addition and mixed-product identities verified here come from.
+addition and mixed-product identities verified here come from.  The
+filter gets all n classes from one FFT (`algebra.circulant_column`), and
+each check has an FFT-free side: `c_series` for the filter (agreement);
+the exact value 1 for the LU determinant of `exp_circulant` and for the
+printed polynomials in series values (identity, polynomial); series at
+x+y against the convolution of series at x and y (addition); the series
+product against one filter column (mixed).  Tests also compare
+`exp_circulant` with the dense `algebra.mat_exp`.
 
 Error model: for x >= 0 every series term is nonnegative and the sums
 are accurate to relative machine precision.  For x < 0 the partial sums
@@ -24,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import determinant, dft_matrix, max_abs
+from .algebra import circulant, circulant_column, determinant, max_abs, roots_of_unity
 from .errors import DomainError, ValidationError, require_index, require_level
 
 X_MAX = 700.0
@@ -102,6 +109,11 @@ def c_series(n: int, j: int, x: float, tol: float = 1e-14) -> float:
             return total
 
 
+def _filter_column(n: int, x: float) -> np.ndarray:
+    # (1/n) sum_k s^(-j*k) exp(s^k x) for every class j: the first column of exp(x * shift)
+    return circulant_column(np.exp(x * roots_of_unity(n)))
+
+
 def c_filter_complex(n: int, j: int, x: float) -> complex:
     """Raw roots-of-unity filter sum (1/n) sum_k s^(-j*k) exp(s^k x).
 
@@ -111,9 +123,7 @@ def c_filter_complex(n: int, j: int, x: float) -> complex:
     n = require_level(n)
     j = require_index(j, n)
     x = _require_x(x)
-    k = np.arange(n)
-    phases = np.exp(-2j * np.pi * ((j * k) % n) / n)
-    return complex((phases * np.exp(x * np.exp(2j * np.pi * k / n))).sum() / n)
+    return complex(_filter_column(n, x)[j])
 
 
 def c_filter(n: int, j: int, x: float) -> float:
@@ -125,7 +135,7 @@ def _values(n: int, x: float, method: str, tol: float = 1e-14) -> np.ndarray:
     if method == "series":
         return np.array([c_series(n, j, x, tol) for j in range(n)])
     if method == "filter":
-        return np.array([c_filter(n, j, x) for j in range(n)])
+        return _filter_column(n, x).real
     raise DomainError(f"invalid-method: expected one of {METHODS}, got {method!r}")
 
 
@@ -178,15 +188,12 @@ def c_all(n: int, x: float, method: str = "series") -> SuperHypValues:
 def exp_circulant(n: int, x: float) -> np.ndarray:
     """exp(x * shift) built spectrally, as a circulant matrix.
 
-    Only the first column is computed (W applied to the eigenvalue
-    vector, O(n^2)); entry (i, k) is then c_{(i-k) mod n}(x).
+    O(n log n) column (one FFT of the eigenvalues exp(x s^k)), O(n^2)
+    dense gather: entry (i, k) is c_{(i-k) mod n}(x).
     """
     n = require_level(n)
     x = _require_x(x, bound=50.0)
-    eig = np.exp(x * np.exp(2j * np.pi * np.arange(n) / n))
-    col = dft_matrix(n) @ (eig / np.sqrt(n))
-    idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
-    return col[idx]
+    return circulant(_filter_column(n, x))
 
 
 def fundamental_identity_residual(n: int, x: float) -> float:
@@ -238,29 +245,26 @@ def addition_residual(n: int, x: float, y: float) -> np.ndarray:
     return res
 
 
-def mixed_product_residual(n: int, x: float, y: float, j: int) -> float:
-    """Residual of the mixed bilinear relation for exp(x*shift) exp(y*shift^T).
+def mixed_product_residual(n: int, x: float, y: float) -> np.ndarray:
+    """Per-class residuals of the mixed bilinear relation for exp(x*shift) exp(y*shift^T).
 
-    Left side: sum_{k<j} c_k(x) c_{n-j+k}(y) + sum_{k>=j} c_k(x) c_{k-j}(y),
-    with the first sum empty at j = 0.  Right side:
-    (1/n) sum_k s^(k(n-j)) exp(x s^k + y s^(n-k)), whose imaginary part is
-    checked to be rounding-level before the real parts are compared.
+    Left side of class j: the series product sum_k c_k(x) c_{(k-j) mod n}(y).
+    Right side: (1/n) sum_k s^(k(n-j)) exp(x s^k + y s^(n-k)), all classes
+    from one circulant column, whose imaginary parts are checked to be
+    rounding-level before the real parts are compared.
     """
     n = require_level(n)
-    j = require_index(j, n)
     x = _require_x(x, bound=10.0)
     y = _require_x(y, bound=10.0)
     cx = _values(n, x, "series")
     cy = _values(n, y, "series")
-    lhs = sum(cx[k] * cy[n - j + k] for k in range(j))
-    lhs += sum(cx[k] * cy[k - j] for k in range(j, n))
-
-    k = np.arange(n)
-    roots = np.exp(2j * np.pi * k / n)
-    phases = np.exp(2j * np.pi * ((k * (n - j)) % n) / n)
-    rhs = complex((phases * np.exp(x * roots + y * np.conj(roots))).sum() / n)
-    if abs(rhs.imag) > 1e-10 * math.exp(abs(x) + abs(y)):
-        raise ValidationError(
-            f"filter sum failed to collapse to a real value: imag={rhs.imag!r}"
-        )
-    return abs(lhs - rhs.real)
+    roots = roots_of_unity(n)
+    rhs = circulant_column(np.exp(x * roots + y * np.conj(roots)))
+    imag = max_abs(rhs.imag)
+    if imag > 1e-10 * math.exp(abs(x) + abs(y)):
+        raise ValidationError(f"filter sum failed to collapse to a real value: imag={imag!r}")
+    res = np.empty(n)
+    for j in range(n):
+        lhs = sum(cx[k] * cy[(k - j) % n] for k in range(n))
+        res[j] = abs(lhs - rhs[j].real)
+    return res

@@ -215,8 +215,7 @@ def verify_mixed(n_values=None, trials=None, seed=0, tol=None) -> VerificationRe
         for trial in range(trials):
             x, y = rng.uniform(-3.0, 3.0, size=2)
             scale = math.exp(abs(x) + abs(y))
-            for j in range(n):
-                residual = hyperbolic.mixed_product_residual(n, x, y, j)
+            for j, residual in enumerate(hyperbolic.mixed_product_residual(n, x, y)):
                 cases.append(
                     _case(
                         {"n": n, "trial": trial, "j": j, "x": float(x), "y": float(y)},

@@ -183,14 +183,6 @@ def test_context_relations_hold(n):
     assert max(residuals.values()) <= 1e-13, residuals
 
 
-def test_pauli_context_is_cached_and_validated():
-    ctx = algebra.pauli_context(6)
-    assert ctx is algebra.pauli_context(6)
-    assert ctx.n == 6
-    assert abs(ctx.sigma**6 - 1) <= 1e-13
-    np.testing.assert_array_equal(ctx.sigma1, algebra.shift_matrix(6))
-
-
 def test_shift_power_matches_repeated_product():
     s = algebra.shift_matrix(5)
     for j in range(7):

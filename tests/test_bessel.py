@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.special
@@ -72,6 +73,14 @@ def test_huge_argument_stays_finite():
     assert math.isfinite(value)
     # leading asymptotic term exp(x)/sqrt(2 pi x)
     assert abs(value - math.exp(700.0) / math.sqrt(2 * math.pi * 700.0)) <= 1e-3 * value
+
+
+@pytest.mark.parametrize("k, x", [(1000, 500.0), (1500, 700.0)])
+def test_large_orders_do_not_underflow(k, x):
+    # orders far below the head of the Miller pass are still normal doubles
+    expected = float(mpmath.besseli(k, x))
+    assert bessel.bessel_i(k, x) == pytest.approx(expected, rel=1e-10, abs=0.0)
+    assert bessel.bessel_table(k, x).values[k] == pytest.approx(expected, rel=1e-10, abs=0.0)
 
 
 def test_table_at_zero():

@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import superhyp
 from superhyp import cli
 
 
@@ -128,6 +133,25 @@ def test_missing_command_is_usage_error():
 def test_domain_error_exit_code(capsys):
     code = cli.main(["eval", "superhyp", "--n", "3", "--x", "1000"])
     assert code == 3
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["eval", "superhyp", "--x", "0..inf"], 2),
+        (["verify", "genmatrix", "--w", "0"], 3),
+        (["verify", "genmatrix", "--w", "1e-200"], 3),
+        (["verify", "bessel", "--w", "1e-200"], 3),
+    ],
+)
+def test_bad_input_exits_with_error_line_not_traceback(argv, expected):
+    env = dict(os.environ, PYTHONPATH=str(Path(superhyp.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "superhyp", *argv], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == expected, proc.stderr
+    assert "error:" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_eval_output_is_deterministic(capsys):

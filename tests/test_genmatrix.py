@@ -94,6 +94,27 @@ def test_trace_projection_at_zero():
         assert abs(genmatrix.trace_projection(n, 0.0, 1.0, 0) - 1.0) <= 1e-14
 
 
+@pytest.mark.parametrize("n", [2, 5, 64])
+def test_trace_projection_is_trace_of_product_with_shift_power(n):
+    # the rolled-view trace against the literal product with the permutation
+    x, w = 1.3, 0.8 + 0.2j
+    m = genmatrix.generating_matrix(n, x, w).matrix
+    for j in range(n):
+        expected = np.trace(m @ algebra.shift_power(n, j)) / n
+        assert genmatrix.trace_projection(n, x, w, j) == expected
+
+
+def test_first_row_matches_direct_sum_at_large_n():
+    # row 0 holds every class value; exponential_sum sums them without the FFT
+    n = 256
+    for x in (0.5, 2.0):
+        for w in W_SET:
+            row = genmatrix.generating_matrix(n, x, w).matrix[0]
+            direct = [genmatrix.exponential_sum(n, x, w, j) for j in range(n)]
+            scale = math.exp(genmatrix.unit_scale(x, w))
+            assert np.abs(row - direct).max() <= 1e-11 * scale
+
+
 def test_trace_projection_three_levels_order_class():
     x = 1.0
     table = bessel.bessel_table(40, x).values

@@ -118,6 +118,13 @@ def test_c_all_filter_tolerates_rounding_noise_near_zero():
     assert out.values.min() >= -1e-13
 
 
+def test_c_all_filter_is_the_per_class_filter():
+    for n in (2, 7, 64):
+        for x in (-3.0, 0.4, 5.0):
+            values = hyperbolic.c_all(n, x, "filter").values
+            np.testing.assert_array_equal(values, [hyperbolic.c_filter(n, j, x) for j in range(n)])
+
+
 def test_c_all_rejects_unknown_method():
     with pytest.raises(DomainError):
         hyperbolic.c_all(3, 1.0, "quadrature")
@@ -197,8 +204,8 @@ def test_exp_circulant_matches_dense_exponential(n, x):
 
 
 def test_exp_circulant_first_column_matches_series():
-    for n in (2, 5, 9):
-        for x in (-3.0, 1.5):
+    for n in (2, 5, 9, 256):
+        for x in (-3.0, 1.5, 3.0):
             col = hyperbolic.exp_circulant(n, x)[:, 0]
             for j in range(n):
                 assert abs(col[j] - hyperbolic.c_series(n, j, x)) <= 1e-10 * math.exp(abs(x))
@@ -304,19 +311,21 @@ def test_mixed_relation_three_levels_reproduces_bilinear_forms():
         1: c(0, x) * c(2, y) + c(1, x) * c(0, y) + c(2, x) * c(1, y),
         2: c(0, x) * c(1, y) + c(1, x) * c(2, y) + c(2, x) * c(0, y),
     }
+    residuals = hyperbolic.mixed_product_residual(3, x, y)
     for j in range(3):
         assert abs(explicit[j] - coeffs[j]) <= 1e-12
-        assert hyperbolic.mixed_product_residual(3, x, y, j) <= 1e-12
+        assert residuals[j] <= 1e-12
 
 
 def test_mixed_relation_at_zero_is_kronecker_delta():
     for n in (2, 4, 5):
-        for j in range(n):
-            assert hyperbolic.mixed_product_residual(n, 0.0, 0.0, j) <= 1e-15
+        residuals = hyperbolic.mixed_product_residual(n, 0.0, 0.0)
+        assert residuals.shape == (n,)
+        assert residuals.max() <= 1e-15
 
 
 def test_mixed_relation_four_levels():
-    assert hyperbolic.mixed_product_residual(4, 0.8, 0.3, 2) <= 1e-11
+    assert hyperbolic.mixed_product_residual(4, 0.8, 0.3)[2] <= 1e-11
 
 
 def test_mixed_relation_matches_matrix_coefficients():
