@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError, require_level
+from .errors import DomainError, require_level, require_tol
 
 TAYLOR_ORDER = 16
 
@@ -107,8 +107,7 @@ def mat_exp(a, tol: float = 1e-13) -> np.ndarray:
     validated but never loosens the scheme.
     """
     a = _require_square_finite(a)
-    if not 0.0 < tol <= 1e-6:
-        raise DomainError(f"invalid-tolerance: need 0 < tol <= 1e-6, got {tol!r}")
+    require_tol(tol)
     norm = float(np.abs(a).sum(axis=0).max())
     squarings = 0 if norm <= 0.5 else int(np.ceil(np.log2(norm) + 1.0))
     b = a / (2.0 ** squarings)

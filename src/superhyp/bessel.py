@@ -16,11 +16,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import MAX_ORDER, require_order, require_tol, require_x, unit_scale
 
 X_MAX = 700.0
-# bound on |x| * max(|w|, 1/|w|) for the generating function and its matrix form
-ARG_MAX = 50.0
 _SERIES_X_MAX = 20.0
 _SERIES_ORDER_MAX = 30
 _RESCALE_BITS = 830
@@ -28,39 +26,6 @@ _RESCALE_LIMIT = 2.0 ** _RESCALE_BITS  # about 7.5e249
 # below this the per-step factor 2m/x could overflow between rescales
 _MILLER_X_MIN = 1e-6
 _TINY = np.finfo(float).tiny
-
-
-def _require_x(x) -> float:
-    x = float(x)
-    if not math.isfinite(x) or abs(x) > X_MAX:
-        raise DomainError(f"overflow-domain: need |x| <= {X_MAX}, got {x!r}")
-    return x
-
-
-def unit_scale(x: float, w: complex) -> float:
-    """|x| * max(|w|, 1/|w|), the working magnitude of the generating function sums.
-
-    Raises DomainError unless w is nonzero and finite and the magnitude
-    is at most ARG_MAX, so exp(unit_scale(x, w)) never overflows.
-    """
-    w = complex(w)
-    if w == 0:
-        raise DomainError("invalid-argument: w must be nonzero")
-    if not (math.isfinite(w.real) and math.isfinite(w.imag)):
-        raise DomainError(f"invalid-argument: w must be finite, got {w!r}")
-    r = math.hypot(w.real, w.imag)  # inf, not OverflowError, for huge finite w
-    scale = abs(float(x)) * max(r, 1.0 / r)
-    if not scale <= ARG_MAX:
-        raise DomainError(
-            f"overflow-domain: need |x|*max(|w|,1/|w|) <= {ARG_MAX}, got x={float(x)!r}, w={w!r}"
-        )
-    return scale
-
-
-def _require_order(k) -> int:
-    if isinstance(k, bool) or not float(k).is_integer():
-        raise DomainError(f"invalid-index: order must be an integer, got {k!r}")
-    return int(k)
 
 
 def miller_start_order(kmax: int, x: float) -> int:
@@ -133,7 +98,7 @@ def bessel_table(kmax: int, x: float) -> BesselTable:
     Parameters
     ----------
     kmax : int
-        Highest order, >= 0.
+        Highest order, 0..MAX_ORDER.
     x : float
         Argument, |x| <= 700.  Negative x yields the signed values
         (-1)^k I_k(|x|).
@@ -142,10 +107,8 @@ def bessel_table(kmax: int, x: float) -> BesselTable:
     -------
     BesselTable
     """
-    kmax = _require_order(kmax)
-    if kmax < 0:
-        raise DomainError(f"invalid-index: kmax must be >= 0, got {kmax}")
-    x = _require_x(x)
+    kmax = require_order(kmax)
+    x = require_x(x, X_MAX)
     ax = abs(x)
     if ax == 0.0:
         values = np.zeros(kmax + 1)
@@ -189,10 +152,9 @@ def bessel_i(k: int, x: float, tol: float = 1e-14) -> float:
     both stable (all terms positive) and short; larger cases go through
     the normalized backward recurrence.
     """
-    k = abs(_require_order(k))
-    x = _require_x(x)
-    if not 0.0 < tol <= 1e-6:
-        raise DomainError(f"invalid-tolerance: need 0 < tol <= 1e-6, got {tol!r}")
+    k = abs(require_order(k, -MAX_ORDER))
+    x = require_x(x, X_MAX)
+    tol = require_tol(tol)
     ax = abs(x)
     if ax == 0.0:
         return 1.0 if k == 0 else 0.0
@@ -226,10 +188,8 @@ def classic_identity_residuals(x: float, K: int) -> ClassicResiduals:
     K must be at least 2*max(8, |x|) so the truncated tails are
     negligible against the exp(|x|) working scale.
     """
-    x = _require_x(x)
-    K = _require_order(K)
-    if K < 2 * max(8.0, abs(x)):
-        raise DomainError(f"invalid-index: need K >= 2*max(8, |x|), got {K}")
+    x = require_x(x, X_MAX)
+    K = require_order(K, math.ceil(2 * max(8.0, abs(x))))
     v = bessel_table(K, x).values
     k = np.arange(1, K + 1)
     even = v[2::2]
@@ -250,18 +210,16 @@ def classic_identity_residuals(x: float, K: int) -> ClassicResiduals:
 def generating_function_residual(x: float, w: complex, K: int) -> float:
     """|exp((x/2)(w + 1/w)) - sum_{|k|<=K} I_k(x) w^k|.
 
-    w must be nonzero with |x| * max(|w|, 1/|w|) <= ARG_MAX; the
-    truncated bilateral sum folds negative orders through I_{-k} = I_k.
+    x and w must pass `unit_scale` (ARG_MAX bounds); the truncated
+    bilateral sum folds negative orders through I_{-k} = I_k.
     Useful accuracy needs |w| within roughly [0.5, 2], where the w^k
     tails still decay against I_k.
     """
-    x = _require_x(x)
     unit_scale(x, w)
-    w = complex(w)
-    K = _require_order(K)
-    if K < 0:
-        raise DomainError(f"invalid-index: need K >= 0, got {K}")
+    x, w = float(x), complex(w)
+    K = require_order(K)
     v = bessel_table(K, x).values
+    K = int(np.flatnonzero(v)[-1])  # orders past the underflow add nothing (see unit_scale)
     total = complex(v[0])
     for k in range(1, K + 1):
         total += v[k] * (w ** k + w ** (-k))

@@ -28,7 +28,7 @@ import numpy as np
 
 from .algebra import mat_exp
 from .bessel import bessel_i
-from .errors import DomainError
+from .errors import DomainError, require_half_width, require_int, require_x, unit_scale
 
 MODES = ("cyclic", "open")
 X_MAX = 30.0
@@ -38,12 +38,6 @@ X_MAX = 30.0
 # rounding; convergence_study reports them as resolved zeros.
 RESOLUTION_EPS_FACTOR = 1024.0
 _EPS = np.finfo(float).eps
-
-
-def _require_half_width(N) -> int:
-    if isinstance(N, bool) or not float(N).is_integer() or int(N) < 1:
-        raise DomainError(f"invalid-dimension: half-width N must be an integer >= 1, got {N!r}")
-    return int(N)
 
 
 @dataclass(frozen=True)
@@ -68,7 +62,7 @@ class LatticeOperators:
 
 def build_lattice(N: int, mode: str = "cyclic", alpha: float = 0.0) -> LatticeOperators:
     """Construct the truncated operators and validate their inputs."""
-    N = _require_half_width(N)
+    N = require_half_width(N)
     if mode not in MODES:
         raise DomainError(f"invalid-mode: expected one of {MODES}, got {mode!r}")
     alpha = float(alpha)
@@ -128,23 +122,18 @@ def commutator_check(ops: LatticeOperators) -> CommutatorReport:
 
 
 def generating_operator(ops: LatticeOperators, x: float, w: complex = 1.0) -> np.ndarray:
-    """exp((x/2)(w S + (1/w) S^T)) on the truncated lattice."""
-    x = float(x)
-    if not math.isfinite(x) or abs(x) > X_MAX:
-        raise DomainError(f"overflow-domain: need |x| <= {X_MAX}, got {x!r}")
+    """exp((x/2)(w S + (1/w) S^T)) on the truncated lattice; |x| <= X_MAX, w as in unit_scale."""
+    x = require_x(x, X_MAX)
+    unit_scale(x, w)
     w = complex(w)
-    if w == 0:
-        raise DomainError("invalid-argument: w must be nonzero")
     s = ops.s.astype(complex)
     return mat_exp((x / 2.0) * (w * s + s.T / w))
 
 
 def generating_operator_element(N: int, x: float, w: complex, m: int, k: int) -> complex:
     """<m| exp((x/2)(w S + (1/w) S^T)) |k> on the open lattice."""
-    N = _require_half_width(N)
-    m, k = int(m), int(k)
-    if max(abs(m), abs(k)) > N:
-        raise DomainError(f"invalid-index: need |m|, |k| <= {N}, got m={m}, k={k}")
+    N = require_half_width(N)
+    m, k = require_int(m, "row m", -N, N), require_int(k, "column k", -N, N)
     ops = build_lattice(N, mode="open")
     return complex(generating_operator(ops, x, w)[m + N, k + N])
 
@@ -174,21 +163,17 @@ def convergence_study(N_list, x: float, w: complex, order: int) -> list[Converge
     m - k = order.  Past N >= |x| + |order| + 5 the resolved errors are
     nonincreasing; the raw values bottom out at rounding level.
     """
-    N_list = [_require_half_width(N) for N in N_list]
+    N_list = [require_half_width(N) for N in N_list]
     if any(b <= a for a, b in zip(N_list, N_list[1:])):
         raise DomainError(f"invalid-argument: N_list must be increasing, got {N_list}")
-    order = int(order)
-    if abs(order) > min(N_list):
-        raise DomainError(f"invalid-index: need |order| <= min(N_list), got {order}")
+    order = require_int(order, "order", -min(N_list), min(N_list))
+    x = require_x(x, X_MAX)
+    floor = RESOLUTION_EPS_FACTOR * _EPS * math.exp(unit_scale(x, w))
     w = complex(w)
-    if w == 0:
-        raise DomainError("invalid-argument: w must be nonzero")
-    x = float(x)
 
     m0 = order - order // 2
     k0 = m0 - order
     reference = bessel_i(order, x) * w ** order
-    floor = RESOLUTION_EPS_FACTOR * _EPS * math.exp(abs(x) * max(abs(w), 1.0 / abs(w)))
     points = []
     for N in N_list:
         ops = build_lattice(N, mode="open")

@@ -21,13 +21,8 @@ import numpy as np
 from dataclasses import dataclass
 
 from .algebra import circulant, circulant_column, roots_of_unity
-from .bessel import bessel_table, unit_scale
-from .errors import DomainError, require_index, require_level
-
-def _require_args(n, x, w):
-    n = require_level(n)
-    unit_scale(x, w)
-    return n, float(x), complex(w)
+from .bessel import bessel_table
+from .errors import require_index, require_level, require_order, unit_scale
 
 
 @dataclass(frozen=True)
@@ -47,7 +42,9 @@ def generating_matrix(n: int, x: float, w: complex) -> GeneratingMatrixEval:
     of unity s^k: O(n log n) column (one FFT of the eigenvalues), O(n^2)
     dense gather of the circulant from it.
     """
-    n, x, w = _require_args(n, x, w)
+    n = require_level(n)
+    unit_scale(x, w)
+    x, w = float(x), complex(w)
     roots = roots_of_unity(n)
     eig = np.exp((x / 2.0) * (w * roots + np.conj(roots) / w))
     return GeneratingMatrixEval(n=n, x=x, w=w, matrix=circulant(circulant_column(eig)))
@@ -58,15 +55,16 @@ def trace_projection(n: int, x: float, w: complex, j: int) -> complex:
 
     Taken over M rolled left by j, as (M @ shift^j)[i, i] = M[i, (i+j) mod n].
     """
-    n, x, w = _require_args(n, x, w)
-    j = require_index(j, n)
-    m = generating_matrix(n, x, w).matrix
-    return complex(np.trace(np.roll(m, -j, axis=1)) / n)
+    ev = generating_matrix(n, x, w)
+    j = require_index(j, ev.n)
+    return complex(np.trace(np.roll(ev.matrix, -j, axis=1)) / ev.n)
 
 
 def exponential_sum(n: int, x: float, w: complex, j: int) -> complex:
     """(1/n) sum_l s^(l*j) exp((x/2)(w s^l + s^(-l)/w)), the closed scalar form, summed directly."""
-    n, x, w = _require_args(n, x, w)
+    n = require_level(n)
+    unit_scale(x, w)
+    x, w = float(x), complex(w)
     j = require_index(j, n)
     roots = roots_of_unity(n)
     phases = roots[(np.arange(n) * j) % n]
@@ -93,11 +91,13 @@ def bessel_comb_series(n: int, x: float, w: complex, j: int, K: int) -> complex:
     Negative orders fold through I_{-m} = I_m.  K must be at least
     n + |x| + 20 so the discarded tails sit below the working scale.
     """
-    n, x, w = _require_args(n, x, w)
+    n = require_level(n)
+    unit_scale(x, w)
+    x, w = float(x), complex(w)
     j = require_index(j, n)
-    if K < n + abs(x) + 20:
-        raise DomainError(f"invalid-index: need K >= n + |x| + 20, got {K}")
-    values = bessel_table(int(K), x).values
+    K = require_order(K, math.ceil(n + abs(x) + 20))
+    values = bessel_table(K, x).values
+    K = int(np.flatnonzero(values)[-1])  # orders past the underflow add nothing (see unit_scale)
     k_lo = math.ceil((-K + j) / n)
     k_hi = math.floor((K + j) / n)
     total = 0j

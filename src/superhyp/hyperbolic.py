@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import circulant, circulant_column, determinant, max_abs, roots_of_unity
-from .errors import DomainError, ValidationError, require_index, require_level
+from .errors import DomainError, ValidationError, require_index, require_level, require_tol, require_x
 
 X_MAX = 700.0
 _TINY = np.finfo(float).tiny
@@ -69,13 +69,6 @@ POLY_IDENTITY_MONOMIALS = {
 }
 
 
-def _require_x(x, bound: float = X_MAX) -> float:
-    x = float(x)
-    if not math.isfinite(x) or abs(x) > bound:
-        raise DomainError(f"overflow-domain: need |x| <= {bound}, got {x!r}")
-    return x
-
-
 def c_series(n: int, j: int, x: float, tol: float = 1e-14) -> float:
     """Residue-class j of the exponential series at x, by direct summation.
 
@@ -87,9 +80,8 @@ def c_series(n: int, j: int, x: float, tol: float = 1e-14) -> float:
     """
     n = require_level(n)
     j = require_index(j, n)
-    x = _require_x(x)
-    if not 0.0 < tol <= 1e-6:
-        raise DomainError(f"invalid-tolerance: need 0 < tol <= 1e-6, got {tol!r}")
+    x = require_x(x, X_MAX)
+    tol = require_tol(tol)
 
     term = 1.0
     for i in range(1, j + 1):
@@ -109,21 +101,22 @@ def c_series(n: int, j: int, x: float, tol: float = 1e-14) -> float:
             return total
 
 
-def _filter_column(n: int, x: float) -> np.ndarray:
-    # (1/n) sum_k s^(-j*k) exp(s^k x) for every class j: the first column of exp(x * shift)
-    return circulant_column(np.exp(x * roots_of_unity(n)))
+def filter_column(n: int, x: float) -> np.ndarray:
+    """Raw filter sums (1/n) sum_k s^(-j*k) exp(s^k x) for every class j, by one FFT.
+
+    This is the first column of exp(x * shift).  The imaginary parts are
+    pure rounding residue and should stay below about 1e-10 * exp(|x|).
+    """
+    return circulant_column(np.exp(require_x(x, X_MAX) * roots_of_unity(n)))
 
 
 def c_filter_complex(n: int, j: int, x: float) -> complex:
-    """Raw roots-of-unity filter sum (1/n) sum_k s^(-j*k) exp(s^k x).
+    """Raw roots-of-unity filter sum (1/n) sum_k s^(-j*k) exp(s^k x), entry j of filter_column.
 
-    The imaginary part is pure rounding residue and should stay below
-    about 1e-10 * exp(|x|); callers wanting the value use c_filter.
+    Callers wanting the value use c_filter.
     """
-    n = require_level(n)
-    j = require_index(j, n)
-    x = _require_x(x)
-    return complex(_filter_column(n, x)[j])
+    j = require_index(j, require_level(n))
+    return complex(filter_column(n, x)[j])
 
 
 def c_filter(n: int, j: int, x: float) -> float:
@@ -135,7 +128,7 @@ def _values(n: int, x: float, method: str, tol: float = 1e-14) -> np.ndarray:
     if method == "series":
         return np.array([c_series(n, j, x, tol) for j in range(n)])
     if method == "filter":
-        return _filter_column(n, x).real
+        return filter_column(n, x).real
     raise DomainError(f"invalid-method: expected one of {METHODS}, got {method!r}")
 
 
@@ -179,7 +172,7 @@ class SuperHypValues:
 def c_all(n: int, x: float, method: str = "series") -> SuperHypValues:
     """All n residue-class values at x, validated before returning."""
     n = require_level(n)
-    x = _require_x(x)
+    x = require_x(x, X_MAX)
     out = SuperHypValues(n=n, x=x, values=_values(n, x, method), method=method)
     out.validate()
     return out
@@ -192,8 +185,8 @@ def exp_circulant(n: int, x: float) -> np.ndarray:
     dense gather: entry (i, k) is c_{(i-k) mod n}(x).
     """
     n = require_level(n)
-    x = _require_x(x, bound=50.0)
-    return circulant(_filter_column(n, x))
+    x = require_x(x, 50.0)
+    return circulant(filter_column(n, x))
 
 
 def fundamental_identity_residual(n: int, x: float) -> float:
@@ -204,7 +197,7 @@ def fundamental_identity_residual(n: int, x: float) -> float:
     for every n and x.
     """
     n = require_level(n)
-    x = _require_x(x, bound=10.0)
+    x = require_x(x, 10.0)
     return abs(determinant(exp_circulant(n, x)) - 1.0)
 
 
@@ -219,7 +212,7 @@ def polynomial_identity_residual(n: int, x: float) -> float:
         raise DomainError(
             f"invalid-level: expanded polynomial known for n in (2, 3, 4), got {n!r}"
         )
-    x = _require_x(x, bound=10.0)
+    x = require_x(x, 10.0)
     c = _values(n, x, "series")
     total = 0.0
     for coeff, powers in POLY_IDENTITY_MONOMIALS[n]:
@@ -233,8 +226,8 @@ def polynomial_identity_residual(n: int, x: float) -> float:
 def addition_residual(n: int, x: float, y: float) -> np.ndarray:
     """Per-class residuals of c_j(x+y) = sum_{k+l=j mod n} c_k(x) c_l(y)."""
     n = require_level(n)
-    x = _require_x(x, bound=10.0)
-    y = _require_x(y, bound=10.0)
+    x = require_x(x, 10.0)
+    y = require_x(y, 10.0)
     cx = _values(n, x, "series")
     cy = _values(n, y, "series")
     cxy = _values(n, x + y, "series")
@@ -254,8 +247,8 @@ def mixed_product_residual(n: int, x: float, y: float) -> np.ndarray:
     rounding-level before the real parts are compared.
     """
     n = require_level(n)
-    x = _require_x(x, bound=10.0)
-    y = _require_x(y, bound=10.0)
+    x = require_x(x, 10.0)
+    y = require_x(y, 10.0)
     cx = _values(n, x, "series")
     cy = _values(n, y, "series")
     roots = roots_of_unity(n)

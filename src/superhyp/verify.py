@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import algebra, bessel, circle, genmatrix, hyperbolic
+from .errors import DomainError, require_half_width, require_level, require_order, require_x
 
 SUITE_NAMES = ("pauli", "superhyp", "addition", "mixed", "bessel", "genmatrix", "circle")
 
@@ -93,6 +94,18 @@ def complex_payload(z: complex) -> dict:
     return {"re": float(z.real), "im": float(z.imag)}
 
 
+def _grid(values, key: str, check) -> list:
+    """The caller's grid, or DEFAULT_GRIDS[key] when it is None, each point through `check`."""
+    values = DEFAULT_GRIDS[key] if values is None else values
+    if len(values) == 0:
+        raise DomainError(f"invalid-grid: the {key} grid is empty")
+    return [check(v) for v in values]
+
+
+def _x(x) -> float:
+    return require_x(x, hyperbolic.X_MAX)
+
+
 def _tols(suite: str, tol):
     base = dict(DEFAULT_TOLERANCES[suite])
     if tol is not None:
@@ -126,7 +139,7 @@ def _finish(suite: str, params: dict, cases: list, started: float) -> Verificati
 def verify_pauli(n_values=None, tol=None) -> VerificationReport:
     """Defining clock/shift relations over a range of levels."""
     started = time.perf_counter()
-    n_values = [int(n) for n in (n_values or DEFAULT_GRIDS["pauli_n"])]
+    n_values = _grid(n_values, "pauli_n", require_level)
     t = _tols("pauli", tol)
     cases = []
     for n in n_values:
@@ -138,8 +151,8 @@ def verify_pauli(n_values=None, tol=None) -> VerificationReport:
 def verify_superhyp(n_values=None, x_values=None, tol=None) -> VerificationReport:
     """Determinant identity, printed polynomials, and series/filter agreement."""
     started = time.perf_counter()
-    n_values = [int(n) for n in (n_values or DEFAULT_GRIDS["superhyp_n"])]
-    x_values = [float(x) for x in (x_values or DEFAULT_GRIDS["superhyp_x"])]
+    n_values = _grid(n_values, "superhyp_n", require_level)
+    x_values = _grid(x_values, "superhyp_x", _x)
     t = _tols("superhyp", tol)
     cases = []
     for n in n_values:
@@ -158,10 +171,8 @@ def verify_superhyp(n_values=None, x_values=None, tol=None) -> VerificationRepor
                         t["agreement"],
                     )
                 )
-            spread = max(
-                abs(hyperbolic.c_series(n, j, x) - hyperbolic.c_filter(n, j, x))
-                for j in range(n)
-            )
+            column = hyperbolic.filter_column(n, x).real
+            spread = max(abs(hyperbolic.c_series(n, j, x) - column[j]) for j in range(n))
             cases.append(
                 _case(
                     {"n": n, "x": x, "check": "cross_method"},
@@ -177,7 +188,7 @@ def verify_superhyp(n_values=None, x_values=None, tol=None) -> VerificationRepor
 def verify_addition(n_values=None, trials=None, seed=0, tol=None) -> VerificationReport:
     """Addition formulas on seeded random points in [-3, 3]^2."""
     started = time.perf_counter()
-    n_values = [int(n) for n in (n_values or DEFAULT_GRIDS["addition_n"])]
+    n_values = _grid(n_values, "addition_n", require_level)
     trials = int(trials if trials is not None else DEFAULT_GRIDS["addition_trials"])
     seed = int(seed)
     t = _tols("addition", tol)
@@ -205,7 +216,7 @@ def verify_addition(n_values=None, trials=None, seed=0, tol=None) -> Verificatio
 def verify_mixed(n_values=None, trials=None, seed=0, tol=None) -> VerificationReport:
     """Mixed bilinear relations, all class indices, seeded random points."""
     started = time.perf_counter()
-    n_values = [int(n) for n in (n_values or DEFAULT_GRIDS["mixed_n"])]
+    n_values = _grid(n_values, "mixed_n", require_level)
     trials = int(trials if trials is not None else DEFAULT_GRIDS["mixed_trials"])
     seed = int(seed)
     t = _tols("mixed", tol)
@@ -234,9 +245,9 @@ def verify_mixed(n_values=None, trials=None, seed=0, tol=None) -> VerificationRe
 def verify_bessel(x_values=None, kmax=None, w_values=None, tol=None) -> VerificationReport:
     """Classical summation identities, three-term recurrence, generating function."""
     started = time.perf_counter()
-    x_values = [float(x) for x in (x_values or DEFAULT_GRIDS["bessel_x"])]
-    K = int(kmax if kmax is not None else DEFAULT_GRIDS["bessel_kmax"])
-    w_values = [complex(w) for w in (w_values or DEFAULT_GRIDS["w_values"])]
+    x_values = _grid(x_values, "bessel_x", _x)
+    K = require_order(kmax if kmax is not None else DEFAULT_GRIDS["bessel_kmax"])
+    w_values = _grid(w_values, "w_values", complex)
     t = _tols("bessel", tol)
     cases = []
     for x in x_values:
@@ -280,9 +291,9 @@ def verify_bessel(x_values=None, kmax=None, w_values=None, tol=None) -> Verifica
 def verify_genmatrix(n_values=None, x_values=None, w_values=None, tol=None) -> VerificationReport:
     """Three-way agreement of the trace projections, plus class completeness."""
     started = time.perf_counter()
-    n_values = [int(n) for n in (n_values or DEFAULT_GRIDS["genmatrix_n"])]
-    x_values = [float(x) for x in (x_values or DEFAULT_GRIDS["genmatrix_x"])]
-    w_values = [complex(w) for w in (w_values or DEFAULT_GRIDS["w_values"])]
+    n_values = _grid(n_values, "genmatrix_n", require_level)
+    x_values = _grid(x_values, "genmatrix_x", _x)
+    w_values = _grid(w_values, "w_values", complex)
     t = _tols("genmatrix", tol)
     cases = []
     for n in n_values:
@@ -337,9 +348,9 @@ def verify_genmatrix(n_values=None, x_values=None, w_values=None, tol=None) -> V
 def verify_circle(N_values=None, mode=None, alphas=None, tol=None) -> VerificationReport:
     """Integer commutator accounting, gauge invariance, clock spectrum, isometry."""
     started = time.perf_counter()
-    N_values = [int(N) for N in (N_values or DEFAULT_GRIDS["circle_N"])]
+    N_values = _grid(N_values, "circle_N", require_half_width)
     modes = [mode] if mode else list(circle.MODES)
-    alphas = [float(a) for a in (alphas or DEFAULT_GRIDS["circle_alphas"])]
+    alphas = _grid(alphas, "circle_alphas", float)
     t = _tols("circle", tol)
     cases = []
     for N in N_values:
@@ -409,7 +420,7 @@ def verify_circle(N_values=None, mode=None, alphas=None, tol=None) -> Verificati
     )
 
 
-_SUITES = {
+SUITES = {
     "pauli": verify_pauli,
     "superhyp": verify_superhyp,
     "addition": verify_addition,
@@ -422,6 +433,6 @@ _SUITES = {
 
 def run_suite(suite: str, **kwargs) -> VerificationReport:
     """Run one named suite; unknown keyword arguments are rejected."""
-    if suite not in _SUITES:
+    if suite not in SUITES:
         raise KeyError(f"unknown suite {suite!r}, expected one of {SUITE_NAMES}")
-    return _SUITES[suite](**kwargs)
+    return SUITES[suite](**kwargs)

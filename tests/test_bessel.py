@@ -172,6 +172,15 @@ def test_generating_function_residual_imaginary_unit():
 def test_generating_function_rejects_zero_weight():
     with pytest.raises(DomainError):
         bessel.generating_function_residual(1.0, 0.0, 40)
+    with pytest.raises(DomainError):
+        bessel.generating_function_residual(0.0, 1e-200, 40)
+
+
+@pytest.mark.parametrize("x, w", [(1.0, 50.0), (1.0, 0.02), (-1.0, 50j)])
+def test_generating_function_at_the_weight_bound_past_181_orders(x, w):
+    # 50^300 alone would overflow; orders whose I_k(x) underflowed add nothing
+    residual = bessel.generating_function_residual(x, w, 300)
+    assert residual <= 1e-12 * math.exp(bessel.unit_scale(x, w))
 
 
 def test_generating_function_residual_monotone_in_truncation():

@@ -121,6 +121,10 @@ def test_generating_operator_element_guards():
     ops = circle.build_lattice(4)
     with pytest.raises(DomainError):
         circle.generating_operator(ops, 1.0, 0.0)
+    # the shared weight bound: at w = 1e-200 the operator used to come back as NaN
+    for x, w in ((1.0, 1e-200), (0.0, 1e-200), (20.0, 3.0)):
+        with pytest.raises(DomainError):
+            circle.generating_operator(circle.build_lattice(2, mode="open"), x, w)
 
 
 def test_central_elements_converge_to_bessel_values():
@@ -173,6 +177,8 @@ def test_convergence_study_guards():
         circle.convergence_study([5, 10], 1.0, 1.0, 6)
     with pytest.raises(DomainError):
         circle.convergence_study([5, 10], 1.0, 0.0, 0)
+    with pytest.raises(DomainError):
+        circle.convergence_study([5, 10], 1.0, 1e-200, 0)
 
 
 def test_cyclic_lattice_reproduces_finite_generating_matrix():

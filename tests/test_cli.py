@@ -142,6 +142,12 @@ def test_domain_error_exit_code(capsys):
         (["verify", "genmatrix", "--w", "0"], 3),
         (["verify", "genmatrix", "--w", "1e-200"], 3),
         (["verify", "bessel", "--w", "1e-200"], 3),
+        (["verify", "bessel", "--x", "0", "--w", "1e-200"], 3),
+        (["verify", "genmatrix", "--x", "0", "--w", "1e-200"], 3),
+        (["eval", "superhyp", "--n", "1e400"], 2),
+        (["eval", "superhyp", "--n", "inf"], 2),
+        (["eval", "superhyp", "--n", "1e300"], 3),
+        (["verify", "pauli", "--x", "5"], 2),
     ],
 )
 def test_bad_input_exits_with_error_line_not_traceback(argv, expected):
@@ -152,6 +158,30 @@ def test_bad_input_exits_with_error_line_not_traceback(argv, expected):
     assert proc.returncode == expected, proc.stderr
     assert "error:" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv", [["verify", "pauli", "--x", "5"], ["verify", "bessel", "--n", "3"]]
+)
+def test_flag_the_suite_does_not_take_is_usage_error(argv, capsys):
+    assert cli.main(argv) == 2
+    assert f"error: suite {argv[1]} takes no {argv[2]}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "superhyp", "--n", "3..1"],
+        ["verify", "superhyp", "--tol", "0"],
+        ["verify", "addition", "--trials", "0"],
+        ["eval", "superhyp", "--y", "1"],
+        ["bench", "circulant-exp-dense", "--kmax", "3"],
+    ],
+)
+def test_argparse_rejects_empty_grids_bad_knobs_and_foreign_flags(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv)
+    assert info.value.code == 2
 
 
 def test_eval_output_is_deterministic(capsys):

@@ -81,6 +81,22 @@ def test_weight_guards():
         genmatrix.generating_matrix(3, 60.0, 1.0)
     with pytest.raises(DomainError):
         genmatrix.generating_matrix(3, 30.0, 0.2)  # 30 / 0.2 = 150 over the cap
+    # at x = 0 the |x|*max(|w|,1/|w|) bound admits any w; max(|w|,1/|w|) <= 50 does not
+    with pytest.raises(DomainError):
+        genmatrix.generating_matrix(3, 0.0, 1e-200)
+    with pytest.raises(DomainError):
+        genmatrix.bessel_comb_series(3, 0.0, 1e-200, 0, 30)
+    with pytest.raises(DomainError):
+        genmatrix.exponential_sum(3, 0.0, 1e200, 0)
+
+
+@pytest.mark.parametrize("w", [50.0, 0.02, 50j])
+def test_bilateral_sum_at_the_weight_bound_for_many_levels(w):
+    # truncations near 200 orders, where 50^200 alone would overflow
+    for j in (0, 1, 49, 98):
+        K = genmatrix.default_comb_truncation(100, 0.001, w, j)
+        comb = genmatrix.bessel_comb_series(100, 0.001, w, j, K)
+        assert abs(comb - genmatrix.trace_projection(100, 0.001, w, j)) <= 1e-12
 
 
 def test_trace_projection_two_levels_is_cosh():
