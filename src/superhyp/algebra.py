@@ -26,11 +26,7 @@ def primitive_root(n: int) -> complex:
 
 def shift_matrix(n: int) -> np.ndarray:
     """Cyclic down-shift: 1 at (i+1 mod n, i), zero elsewhere."""
-    n = require_level(n)
-    m = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        m[(i + 1) % n, i] = 1.0
-    return m
+    return shift_power(n, 1)
 
 
 def roots_of_unity(n: int) -> np.ndarray:

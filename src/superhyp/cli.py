@@ -6,7 +6,8 @@ included when (b-a)/step is integral within 1e-9), `a..b` (step 1),
 comma lists, or a single value.  Complex flags accept `re,im` or a bare
 real shorthand.  Each subcommand takes only the flags it reads, and
 `verify` passes a flag only to a suite that takes it; any other flag
-exits 2.
+exits 2, as does a grid of several points where `bench` or `table`
+reads one.
 """
 
 from __future__ import annotations
@@ -35,6 +36,10 @@ TABLE_KINDS = ("superhyp", "identity", "bessel")
 EVAL_OPS = ("superhyp", "bessel", "trace")
 
 
+class FlagValueError(argparse.ArgumentTypeError, ValueError):
+    """A rejected flag value; argparse prints its message, library callers catch a ValueError."""
+
+
 def parse_grid(text: str) -> list[float]:
     """Parse `a..b:step`, `a..b`, `v1,v2,...`, or a single value.
 
@@ -45,19 +50,19 @@ def parse_grid(text: str) -> list[float]:
     if ".." not in text:
         values = text.split(",")
         if len(values) > MAX_GRID_POINTS:
-            raise ValueError(f"grid must hold at most {MAX_GRID_POINTS} points")
+            raise FlagValueError(f"grid must hold at most {MAX_GRID_POINTS} points")
         return [float(v) for v in values]
     span, _, step_text = text.partition(":")
     a_text, _, b_text = span.partition("..")
     a, b = float(a_text), float(b_text)
     step = float(step_text) if step_text else 1.0
     if not all(map(math.isfinite, (a, b, step))):
-        raise ValueError(f"grid range must be finite, got {text!r}")
+        raise FlagValueError(f"grid range must be finite, got {text!r}")
     if step <= 0:
-        raise ValueError(f"grid step must be positive, got {step}")
+        raise FlagValueError(f"grid step must be positive, got {step}")
     ratio = (b - a) / step
     if not 0.0 <= ratio <= MAX_GRID_POINTS - 1:
-        raise ValueError(f"grid {text!r} must hold 1..{MAX_GRID_POINTS} points")
+        raise FlagValueError(f"grid {text!r} must hold 1..{MAX_GRID_POINTS} points")
     count = round(ratio)
     if abs(ratio - count) > 1e-9:
         count = math.floor(ratio + 1e-12)
@@ -68,7 +73,7 @@ def parse_int_grid(text: str) -> list[int]:
     out = []
     for v in parse_grid(text):
         if not (math.isfinite(v) and abs(v - round(v)) <= 1e-9):
-            raise ValueError(f"expected integer grid values, got {v}")
+            raise FlagValueError(f"expected integer grid values, got {v}")
         out.append(int(round(v)))
     return out
 
@@ -84,14 +89,14 @@ def parse_complex(text: str) -> complex:
 def positive_float(text: str) -> float:
     value = float(text)
     if not value > 0:
-        raise ValueError(f"must be positive, got {value}")
+        raise FlagValueError(f"must be positive, got {value}")
     return value
 
 
 def positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
-        raise ValueError(f"must be >= 1, got {value}")
+        raise FlagValueError(f"must be >= 1, got {value}")
     return value
 
 
@@ -176,6 +181,14 @@ def cmd_verify(args) -> int:
     return EXIT_PASS if report.passed else EXIT_VERIFY_FAIL
 
 
+def _one(args, flag: str, where: str):
+    """The single value of a grid flag that `where` reads one point of."""
+    values = getattr(args, flag)
+    if len(values) != 1:
+        raise ValueError(f"{where} takes one --{flag} value, got {len(values)}")
+    return values[0]
+
+
 def _bench_once(op: str, n: int, x: float) -> float:
     start = time.perf_counter()
     if op == "circulant-exp-spectral":
@@ -186,7 +199,7 @@ def _bench_once(op: str, n: int, x: float) -> float:
 
 
 def cmd_bench(args) -> int:
-    x = args.x[0]
+    x = _one(args, "x", "bench")
     repeats = 5
     results = []
     for n in args.n:
@@ -198,7 +211,7 @@ def cmd_bench(args) -> int:
 
 
 def _rows_superhyp(args) -> tuple[list[str], list[list]]:
-    n = args.n[0]
+    n = _one(args, "n", "table superhyp")
     header = ["x"] + [f"c{j}" for j in range(n)]
     rows = []
     for x in sorted(args.x):
@@ -208,13 +221,13 @@ def _rows_superhyp(args) -> tuple[list[str], list[list]]:
 
 
 def _rows_identity(args) -> tuple[list[str], list[list]]:
-    n = args.n[0]
+    n = _one(args, "n", "table identity")
     rows = [[x, hyperbolic.fundamental_identity_residual(n, x)] for x in sorted(args.x)]
     return ["x", "residual"], rows
 
 
 def _rows_bessel(args) -> tuple[list[str], list[list]]:
-    values = bessel.bessel_table(args.kmax, args.x[0]).values
+    values = bessel.bessel_table(args.kmax, _one(args, "x", "table bessel")).values
     return ["order", "value"], [[k, float(values[k])] for k in range(args.kmax + 1)]
 
 

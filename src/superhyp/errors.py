@@ -4,9 +4,11 @@ Each domain rule is written once here; the modules call these checks and
 keep only their own bound constants (the |x| caps).  The size caps bound
 the memory and work one call may request, so a huge size is a
 DomainError instead of an out-of-memory failure or a loop without end.
+Messages echo the offending value through reprlib, abbreviated when long.
 """
 
 import math
+from reprlib import repr as _short
 
 # Largest level count n: a dense complex128 n x n matrix is then at most
 # 256 MiB.  Also bounds the lattice dimension 2N+1.
@@ -40,7 +42,7 @@ def require_int(value, name: str, lo: int, hi: int) -> int:
             return int(value)
     except (TypeError, ValueError, OverflowError):
         pass
-    raise DomainError(f"invalid-integer: need {name} an integer in [{lo}, {hi}], got {value!r}")
+    raise DomainError(f"invalid-integer: need {name} an integer in [{lo}, {hi}], got {_short(value)}")
 
 
 def require_level(n) -> int:
@@ -75,7 +77,7 @@ def require_x(x, bound: float) -> float:
     """`x` as a float with |x| <= bound, hence finite."""
     value = _real(x)
     if not abs(value) <= bound:
-        raise DomainError(f"overflow-domain: need |x| <= {bound}, got {x!r}")
+        raise DomainError(f"overflow-domain: need |x| <= {bound}, got {_short(x)}")
     return value
 
 
@@ -83,7 +85,7 @@ def require_tol(tol) -> float:
     """A stopping tolerance in (0, 1e-6]."""
     value = _real(tol)
     if not 0.0 < value <= 1e-6:
-        raise DomainError(f"invalid-tolerance: need 0 < tol <= 1e-6, got {tol!r}")
+        raise DomainError(f"invalid-tolerance: need 0 < tol <= 1e-6, got {_short(tol)}")
     return value
 
 
@@ -112,6 +114,6 @@ def unit_scale(x, w) -> float:
     if not (radius <= ARG_MAX and scale <= ARG_MAX):
         raise DomainError(
             f"overflow-domain: need w nonzero and finite with max(|w|,1/|w|) <= {ARG_MAX}"
-            f" and |x|*max(|w|,1/|w|) <= {ARG_MAX}, got x={x!r}, w={w!r}"
+            f" and |x|*max(|w|,1/|w|) <= {ARG_MAX}, got x={_short(x)}, w={_short(w)}"
         )
     return scale

@@ -9,8 +9,9 @@ and both routes are implemented so each can check the other.
 The vector (c_0(x), ..., c_{n-1}(x)) is the first column of the
 circulant matrix exp(x * shift), which is where the determinant,
 addition and mixed-product identities verified here come from.  The
-filter gets all n classes from one FFT (`algebra.circulant_column`), and
-each check has an FFT-free side: `c_series` for the filter (agreement);
+filter gets all n classes from one FFT (`filter_column`), the series
+all n classes from one pass over its terms (`series_column`), and each
+check has an FFT-free side: `series_column` for the filter (agreement);
 the exact value 1 for the LU determinant of `exp_circulant` and for the
 printed polynomials in series values (identity, polynomial); series at
 x+y against the convolution of series at x and y (addition); the series
@@ -69,36 +70,64 @@ POLY_IDENTITY_MONOMIALS = {
 }
 
 
-def c_series(n: int, j: int, x: float, tol: float = 1e-14) -> float:
-    """Residue-class j of the exponential series at x, by direct summation.
+def series_column(n: int, x: float, tol: float = 1e-14) -> np.ndarray:
+    """All n residue classes of the exponential series at x, from one pass over its terms.
 
-    Terms are generated by the ratio t_{k+1} = t_k * x^n / ((kn+j+1) ...
-    (kn+j+n)), never from standalone factorials, and accumulated with
-    Kahan compensation.  Summation stops once the next term falls below
+    Term m = x^m/m! comes from the ratio t_m = t_{m-1} * x/m, never from a
+    standalone factorial, and goes to class m mod n.  Each class keeps its
+    own Kahan-compensated sum and stops once its next term falls below
     tol * (|sum| + tiny) and the term index has passed |x| (before that
-    the terms may still be growing).
+    the terms may still be growing).  This is the FFT-free reference for
+    filter_column.
     """
     n = require_level(n)
-    j = require_index(j, n)
     x = require_x(x, X_MAX)
     tol = require_tol(tol)
-
+    total = [1.0]
+    comp = [0.0] * n
+    live = [True] * n
+    left = n
     term = 1.0
-    for i in range(1, j + 1):
-        term *= x / i
-    total = term
-    comp = 0.0
-    m = j
-    while True:
-        for i in range(m + 1, m + n + 1):
-            term *= x / i
-        m += n
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        if abs(term) <= tol * (abs(total) + _TINY) and m >= abs(x):
-            return total
+    m = 0
+    while term != 0.0:
+        m += 1
+        term *= x / m
+        j = m % n
+        if m < n:
+            total.append(term)
+        elif live[j]:
+            y = term - comp[j]
+            t = total[j] + y
+            comp[j] = (t - total[j]) - y
+            total[j] = t
+            if abs(term) <= tol * (abs(t) + _TINY) and m >= abs(x):
+                live[j] = False
+                left -= 1
+                if not left:
+                    return np.array(total)
+    # Term m underflowed to zero, and so does every later term, its sign
+    # flipping at each step when x is negative.  Each live class adds its
+    # next term, a zero that meets its stop rule; a class past m first
+    # takes a zero leading term.  So the rest of the pass is one vector step.
+    flips = math.copysign(1.0, x) < 0
+
+    def zero_at(steps):
+        return np.where(flips & (steps % 2 == 1), -term, term)
+
+    seen = len(total)  # classes 0..seen-1 already hold their leading term
+    steps = (np.arange(n) - m - 1) % n + 1  # from term m to each class's next term
+    out = np.empty(n)
+    out[seen:] = zero_at(steps[seen:]) + zero_at(steps[seen:] + n)  # leading zero plus one
+    live = np.array(live[:seen])
+    out[:seen] = total
+    out[:seen][live] += zero_at(steps[:seen][live]) - np.array(comp[:seen])[live]
+    return out
+
+
+def c_series(n: int, j: int, x: float, tol: float = 1e-14) -> float:
+    """Residue-class j of the exponential series at x, entry j of series_column."""
+    j = require_index(j, require_level(n))
+    return float(series_column(n, x, tol)[j])
 
 
 def filter_column(n: int, x: float) -> np.ndarray:
@@ -126,7 +155,7 @@ def c_filter(n: int, j: int, x: float) -> float:
 
 def _values(n: int, x: float, method: str, tol: float = 1e-14) -> np.ndarray:
     if method == "series":
-        return np.array([c_series(n, j, x, tol) for j in range(n)])
+        return series_column(n, x, tol)
     if method == "filter":
         return filter_column(n, x).real
     raise DomainError(f"invalid-method: expected one of {METHODS}, got {method!r}")
@@ -224,24 +253,24 @@ def polynomial_identity_residual(n: int, x: float) -> float:
 
 
 def addition_residual(n: int, x: float, y: float) -> np.ndarray:
-    """Per-class residuals of c_j(x+y) = sum_{k+l=j mod n} c_k(x) c_l(y)."""
+    """Per-class residuals of c_j(x+y) = sum_{k+l=j mod n} c_k(x) c_l(y).
+
+    The right side is the cyclic convolution of the series columns at x
+    and y, i.e. the circulant of c(y) applied to c(x).
+    """
     n = require_level(n)
     x = require_x(x, 10.0)
     y = require_x(y, 10.0)
     cx = _values(n, x, "series")
     cy = _values(n, y, "series")
-    cxy = _values(n, x + y, "series")
-    res = np.empty(n)
-    for j in range(n):
-        rhs = sum(cx[k] * cy[(j - k) % n] for k in range(n))
-        res[j] = abs(cxy[j] - rhs)
-    return res
+    return np.abs(_values(n, x + y, "series") - circulant(cy) @ cx)
 
 
 def mixed_product_residual(n: int, x: float, y: float) -> np.ndarray:
     """Per-class residuals of the mixed bilinear relation for exp(x*shift) exp(y*shift^T).
 
-    Left side of class j: the series product sum_k c_k(x) c_{(k-j) mod n}(y).
+    Left side of class j: the series product sum_k c_k(x) c_{(k-j) mod n}(y),
+    i.e. c(x) times the circulant of c(y).
     Right side: (1/n) sum_k s^(k(n-j)) exp(x s^k + y s^(n-k)), all classes
     from one circulant column, whose imaginary parts are checked to be
     rounding-level before the real parts are compared.
@@ -256,8 +285,4 @@ def mixed_product_residual(n: int, x: float, y: float) -> np.ndarray:
     imag = max_abs(rhs.imag)
     if imag > 1e-10 * math.exp(abs(x) + abs(y)):
         raise ValidationError(f"filter sum failed to collapse to a real value: imag={imag!r}")
-    res = np.empty(n)
-    for j in range(n):
-        lhs = sum(cx[k] * cy[(k - j) % n] for k in range(n))
-        res[j] = abs(lhs - rhs[j].real)
-    return res
+    return np.abs(cx @ circulant(cy) - rhs.real)

@@ -18,7 +18,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import algebra, bessel, circle, genmatrix, hyperbolic
-from .errors import DomainError, require_half_width, require_level, require_order, require_x
+from .errors import (
+    MAX_GRID_POINTS,
+    DomainError,
+    require_half_width,
+    require_int,
+    require_level,
+    require_order,
+    require_x,
+)
 
 SUITE_NAMES = ("pauli", "superhyp", "addition", "mixed", "bessel", "genmatrix", "circle")
 
@@ -106,6 +114,15 @@ def _x(x) -> float:
     return require_x(x, hyperbolic.X_MAX)
 
 
+def _trials_seed(trials, key: str, seed) -> tuple[int, int]:
+    """The trial count (DEFAULT_GRIDS[key] when None) in 1..MAX_GRID_POINTS and a seed >= 0."""
+    trials = DEFAULT_GRIDS[key] if trials is None else trials
+    return (
+        require_int(trials, "trials", 1, MAX_GRID_POINTS),
+        require_int(seed, "seed", 0, 2**64 - 1),
+    )
+
+
 def _tols(suite: str, tol):
     base = dict(DEFAULT_TOLERANCES[suite])
     if tol is not None:
@@ -171,8 +188,9 @@ def verify_superhyp(n_values=None, x_values=None, tol=None) -> VerificationRepor
                         t["agreement"],
                     )
                 )
-            column = hyperbolic.filter_column(n, x).real
-            spread = max(abs(hyperbolic.c_series(n, j, x) - column[j]) for j in range(n))
+            spread = algebra.max_abs(
+                hyperbolic.series_column(n, x) - hyperbolic.filter_column(n, x).real
+            )
             cases.append(
                 _case(
                     {"n": n, "x": x, "check": "cross_method"},
@@ -189,8 +207,7 @@ def verify_addition(n_values=None, trials=None, seed=0, tol=None) -> Verificatio
     """Addition formulas on seeded random points in [-3, 3]^2."""
     started = time.perf_counter()
     n_values = _grid(n_values, "addition_n", require_level)
-    trials = int(trials if trials is not None else DEFAULT_GRIDS["addition_trials"])
-    seed = int(seed)
+    trials, seed = _trials_seed(trials, "addition_trials", seed)
     t = _tols("addition", tol)
     rng = np.random.default_rng(seed)
     cases = []
@@ -217,8 +234,7 @@ def verify_mixed(n_values=None, trials=None, seed=0, tol=None) -> VerificationRe
     """Mixed bilinear relations, all class indices, seeded random points."""
     started = time.perf_counter()
     n_values = _grid(n_values, "mixed_n", require_level)
-    trials = int(trials if trials is not None else DEFAULT_GRIDS["mixed_trials"])
-    seed = int(seed)
+    trials, seed = _trials_seed(trials, "mixed_trials", seed)
     t = _tols("mixed", tol)
     rng = np.random.default_rng(seed)
     cases = []

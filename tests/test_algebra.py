@@ -189,3 +189,12 @@ def test_shift_power_matches_repeated_product():
         np.testing.assert_array_equal(
             algebra.shift_power(5, j), np.linalg.matrix_power(s, j % 5)
         )
+
+
+def test_shift_matrix_is_the_first_shift_power():
+    for n in range(2, 70):
+        fill = np.zeros((n, n), dtype=complex)
+        for i in range(n):
+            fill[(i + 1) % n, i] = 1.0
+        shift = algebra.shift_matrix(n)
+        assert shift.dtype == complex and np.array_equal(shift, fill)

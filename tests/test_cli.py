@@ -1,14 +1,19 @@
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import superhyp
-from superhyp import cli
+from superhyp import cli, verify
 
 
 def run_cli(capsys, *argv):
@@ -148,6 +153,9 @@ def test_domain_error_exit_code(capsys):
         (["eval", "superhyp", "--n", "inf"], 2),
         (["eval", "superhyp", "--n", "1e300"], 3),
         (["verify", "pauli", "--x", "5"], 2),
+        (["verify", "addition", "--trials", "20000"], 3),
+        (["verify", "mixed", "--seed", "-1"], 3),
+        (["eval", "superhyp", "--x", "-1e300"], 3),
     ],
 )
 def test_bad_input_exits_with_error_line_not_traceback(argv, expected):
@@ -158,6 +166,8 @@ def test_bad_input_exits_with_error_line_not_traceback(argv, expected):
     assert proc.returncode == expected, proc.stderr
     assert "error:" in proc.stderr
     assert "Traceback" not in proc.stderr
+    # a huge value (--n 1e300 is a 301-digit integer) is echoed abbreviated
+    assert all(len(line) < 200 for line in proc.stderr.splitlines() if "error:" in line)
 
 
 @pytest.mark.parametrize(
@@ -169,6 +179,29 @@ def test_flag_the_suite_does_not_take_is_usage_error(argv, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["table", "bessel", "--x", "1,2"], "table bessel takes one --x value"),
+        (["table", "superhyp", "--n", "3,4"], "table superhyp takes one --n value"),
+        (["table", "identity", "--n", "2,3"], "table identity takes one --n value"),
+        (["bench", "circulant-exp-spectral", "--n", "4", "--x", "1,2"], "bench takes one --x value"),
+    ],
+)
+def test_grid_where_one_value_is_read_is_usage_error(argv, message, capsys):
+    assert cli.main(argv) == 2
+    assert f"error: {message}, got 2" in capsys.readouterr().err
+
+
+def test_rejected_grid_names_the_reason(capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main(["eval", "superhyp", "--x", "0..20000"])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"must hold 1..{cli.MAX_GRID_POINTS} points" in err
+    assert "invalid parse_grid value" not in err
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["eval", "superhyp", "--n", "3..1"],
@@ -176,6 +209,7 @@ def test_flag_the_suite_does_not_take_is_usage_error(argv, capsys):
         ["verify", "addition", "--trials", "0"],
         ["eval", "superhyp", "--y", "1"],
         ["bench", "circulant-exp-dense", "--kmax", "3"],
+        ["verify", "mixed", "--trials", "2.7"],
     ],
 )
 def test_argparse_rejects_empty_grids_bad_knobs_and_foreign_flags(argv, capsys):
@@ -268,3 +302,79 @@ def test_bench_large_spectral_stays_fast(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["results"][0]["median_ms"] < 10_000.0
+
+
+# -- every argv ends in an exit code ------------------------------------------
+
+def _int_grids(lo, hi):
+    return st.one_of(
+        st.integers(lo, hi).map(str),
+        st.lists(st.integers(lo, hi), min_size=2, max_size=3).map(lambda v: ",".join(map(str, v))),
+        st.tuples(st.integers(lo, hi), st.integers(0, 2)).map(lambda a: f"{a[0]}..{a[0] + a[1]}"),
+    )
+
+
+_REALS = st.floats(-5, 5, allow_nan=False).map(repr)
+# the size budget: no drawn value starts more than a fraction of a second of work
+_GOOD = {
+    "n": _int_grids(2, 6),
+    "N": _int_grids(1, 4),
+    "x": st.one_of(
+        _REALS,
+        st.lists(_REALS, min_size=2, max_size=3).map(",".join),
+        st.tuples(st.integers(-5, 3), st.sampled_from(["0.5", "1", "2"])).map(
+            lambda a: f"{a[0]}..{a[0] + 2}:{a[1]}"
+        ),
+    ),
+    "w": st.one_of(_REALS, st.tuples(_REALS, _REALS).map(",".join)),
+    "j": st.integers(0, 6).map(str),
+    "method": st.sampled_from(cli.FLAGS["method"]["choices"]),
+    "mode": st.sampled_from(cli.FLAGS["mode"]["choices"]),
+    "alpha": st.floats(0, 1, exclude_max=True).map(repr),
+    "kmax": st.integers(0, 60).map(str),
+    "tol": st.sampled_from(["1e-12", "1e-8", "1e-3", "1e-30"]),
+    "trials": st.integers(1, 3).map(str),
+    "seed": st.integers(0, 9).map(str),
+    "format": st.sampled_from(cli.FLAGS["format"]["choices"]),
+    "out": st.sampled_from(["out.txt", "missing/out.txt"]),
+}
+_MALFORMED = st.sampled_from(
+    ["", " ", "nan", "inf", "-inf", "1e400", "1e300", "-1", "0", "2.5", "3..1", "1..", "..",
+     "0..1:0", "1,,2", "1,2,3,4", "a", "0,1", "1j", "--n", "-", "1e-320"]
+)
+_COMMANDS = [("eval", t) for t in cli.EVAL_OPS] + [("verify", s) for s in verify.SUITE_NAMES]
+_COMMANDS += [("bench", t) for t in cli.BENCH_OPS] + [("table", k) for k in cli.TABLE_KINDS]
+
+
+@st.composite
+def _argv(draw):
+    command = list(draw(st.sampled_from(_COMMANDS)))
+    flags = draw(st.lists(st.sampled_from(sorted(cli.FLAGS)), max_size=4, unique=True))
+    if command[0] == "bench" and "n" not in flags:
+        flags.append("n")  # the default n = 64, 256 is beyond the budget
+    argv = command
+    for flag in flags:
+        value = draw(st.one_of(_GOOD[flag], _GOOD[flag], _GOOD[flag], _MALFORMED))
+        argv += [f"--{flag}", value]
+    return draw(st.permutations(argv)) if draw(st.booleans()) and len(argv) < 5 else argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(_argv())
+@example(["verify", "addition", "--trials", "20000"])
+@example(["table", "bessel", "--x", "1,2", "--out", "missing/out.txt"])
+def test_every_argv_ends_in_an_exit_code(argv):
+    # run in a scratch directory, where any drawn --out value lands
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                try:
+                    code = cli.main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+                    assert code == 2, argv
+        finally:
+            os.chdir(home)
+    assert code in (0, 1, 2, 3), argv

@@ -19,6 +19,52 @@ def series_oracle(n, j, x):
     return total
 
 
+_TINY = np.finfo(float).tiny
+_EPS = np.finfo(float).eps
+
+
+def per_class_series(n, j, x, tol=1e-14):
+    # the former c_series body: one class per call, its own term sequence
+    term = 1.0
+    for i in range(1, j + 1):
+        term *= x / i
+    total = term
+    comp = 0.0
+    m = j
+    while True:
+        for i in range(m + 1, m + n + 1):
+            term *= x / i
+        m += n
+        y = term - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+        if abs(term) <= tol * (abs(total) + _TINY) and m >= abs(x):
+            return total
+
+
+SERIES_X = [0.0, 1e-300, -1e-300, 0.3, -0.3, 1.0, -1.0, 3.0, -3.0, 10.0, -10.0, 25.0, -25.0,
+            100.0, 699.0, -699.0]
+
+
+@pytest.mark.parametrize("n", [*range(2, 17), 31, 64, 256, 1000])
+def test_series_column_is_the_per_class_loop_bit_for_bit(n):
+    # tobytes, so a -0.0 against a 0.0 counts as a difference
+    for x in SERIES_X:
+        for tol in (1e-14, 1e-10, 1e-6):
+            want = np.array([per_class_series(n, j, x, tol) for j in range(n)])
+            got = hyperbolic.series_column(n, x, tol)
+            assert got.tobytes() == want.tobytes(), (n, x, tol)
+
+
+def test_c_series_is_an_entry_of_the_column():
+    for n, x in ((2, 1.0), (5, -2.5), (2048, 1.5)):
+        column = hyperbolic.series_column(n, x)
+        for j in (0, 1, n - 1):
+            assert hyperbolic.c_series(n, j, x) == column[j]
+            assert type(hyperbolic.c_series(n, j, x)) is float
+
+
 def test_series_two_levels_are_cosh_sinh():
     assert abs(hyperbolic.c_series(2, 0, 1.0) - 1.5430806348152437) <= 1e-13
     assert abs(hyperbolic.c_series(2, 1, 1.0) - 1.1752011936438014) <= 1e-13
@@ -264,6 +310,36 @@ def test_polynomial_and_determinant_agree():
             poly = hyperbolic.polynomial_identity_residual(n, x)
             det = hyperbolic.fundamental_identity_residual(n, x)
             assert abs(poly - det) <= 1e-10
+
+
+def _loop_addition_residual(n, x, y):
+    # the former Python-loop form of addition_residual
+    cx, cy, cxy = (hyperbolic.series_column(n, t) for t in (x, y, x + y))
+    return np.array(
+        [abs(cxy[j] - sum(cx[k] * cy[(j - k) % n] for k in range(n))) for j in range(n)]
+    )
+
+
+def _loop_mixed_residual(n, x, y):
+    # the former Python-loop form of mixed_product_residual, same filter column
+    cx, cy = hyperbolic.series_column(n, x), hyperbolic.series_column(n, y)
+    roots = algebra.roots_of_unity(n)
+    rhs = algebra.circulant_column(np.exp(x * roots + y * np.conj(roots))).real
+    return np.array(
+        [abs(sum(cx[k] * cy[(k - j) % n] for k in range(n)) - rhs[j]) for j in range(n)]
+    )
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 13])
+def test_circulant_residuals_match_the_loop_forms_to_rounding(n):
+    rng = np.random.default_rng(n)
+    for x, y in rng.uniform(-3.0, 3.0, size=(20, 2)):
+        bound = 16 * n * _EPS * math.exp(abs(x) + abs(y))
+        for new, old in (
+            (hyperbolic.addition_residual, _loop_addition_residual),
+            (hyperbolic.mixed_product_residual, _loop_mixed_residual),
+        ):
+            assert np.abs(new(n, x, y) - old(n, x, y)).max() <= bound
 
 
 def test_addition_with_zero_recovers_values():

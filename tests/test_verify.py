@@ -3,7 +3,7 @@ import math
 import pytest
 
 from superhyp import hyperbolic, verify
-from superhyp.errors import DomainError
+from superhyp.errors import MAX_GRID_POINTS, DomainError
 
 
 @pytest.mark.parametrize(
@@ -17,6 +17,12 @@ from superhyp.errors import DomainError
         ("genmatrix", {"w_values": []}),
         ("circle", {"N_values": [0]}),
         ("circle", {"alphas": []}),
+        ("addition", {"trials": 0}),
+        ("addition", {"trials": -5}),
+        ("mixed", {"trials": 2.7}),
+        ("mixed", {"trials": MAX_GRID_POINTS + 1}),
+        ("addition", {"seed": 1.9}),
+        ("mixed", {"seed": -1}),
     ],
 )
 def test_grids_go_through_the_shared_validators(suite, kwargs):
