@@ -17,10 +17,23 @@ Two boundary modes:
 On the open lattice, interior matrix elements of
 exp((x/2)(w S + (1/w) S^T)) converge (fast, in N) to I_{m-k}(x) w^(m-k);
 convergence_study quantifies that against the Bessel routines.
+
+generating_operator exponentiates the open lattice in real arithmetic.
+Write w = r u with r = |w| and |u| = 1.  Without a wraparound bond the
+diagonal unitary gauge D = diag(u^i) gives D (r S + S^T/r) D^* =
+w S + S^T/w, so exp((x/2)(w S + S^T/w))[m, k] is u^(m-k) times the same
+element of the real exponential exp((x/2)(r S + S^T/r)).  The phase has
+modulus 1, so no power of |w| beyond the one the element itself carries
+enters the rounding.  The cyclic lattice has no such gauge: going once
+around the ring picks up the flux u^(2N+1), which no diagonal gauge
+removes, so cyclic mode keeps the complex exponential.  Neither route
+reads a Bessel value, so convergence_study compares two independent
+computations.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -122,12 +135,24 @@ def commutator_check(ops: LatticeOperators) -> CommutatorReport:
 
 
 def generating_operator(ops: LatticeOperators, x: float, w: complex = 1.0) -> np.ndarray:
-    """exp((x/2)(w S + (1/w) S^T)) on the truncated lattice; |x| <= X_MAX, w as in unit_scale."""
+    """exp((x/2)(w S + (1/w) S^T)) on the truncated lattice; |x| <= X_MAX, w as in unit_scale.
+
+    Open mode exponentiates the real matrix (x/2)(|w| S + S^T/|w|) and
+    puts the phase u^(m-k), u = w/|w|, on element (m, k) (the gauge
+    argument in the module docstring); cyclic mode exponentiates the
+    complex matrix.  Either way the result is complex128.
+    """
     x = require_x(x, X_MAX)
     unit_scale(x, w)
     w = complex(w)
-    s = ops.s.astype(complex)
-    return mat_exp((x / 2.0) * (w * s + s.T / w))
+    if ops.mode == "cyclic":
+        s = ops.s.astype(complex)
+        return mat_exp((x / 2.0) * (w * s + s.T / w))
+    r = abs(w)
+    s = ops.s.astype(float)
+    # u^m for m = -N..N, so the phases of central elements carry the least rounding
+    gauge = np.exp(1j * cmath.phase(w) * np.arange(-ops.N, ops.N + 1))
+    return gauge[:, None] * mat_exp((x / 2.0) * (r * s + s.T / r)) * gauge.conj()
 
 
 def generating_operator_element(N: int, x: float, w: complex, m: int, k: int) -> complex:

@@ -4,8 +4,9 @@ Exit codes: 0 success/pass, 1 verification failure, 2 usage error,
 3 numeric-domain error.  Grids use the syntax `a..b:step` (both ends
 included when (b-a)/step is integral within 1e-9), `a..b` (step 1),
 comma lists, or a single value.  Complex flags accept `re,im` or a bare
-real shorthand.  Each subcommand takes only the flags it reads, and
-`verify` passes a flag only to a suite that takes it; any other flag
+real shorthand.  Each subcommand takes only the flags it reads, each
+`eval` target and `table` kind only the flags it reads (TARGET_FLAGS),
+and `verify` passes a flag only to a suite that takes it; any other flag
 exits 2, as does a grid of several points where `bench` or `table`
 reads one.
 """
@@ -32,8 +33,6 @@ EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 
 BENCH_OPS = ("circulant-exp-spectral", "circulant-exp-dense")
-TABLE_KINDS = ("superhyp", "identity", "bessel")
-EVAL_OPS = ("superhyp", "bessel", "trace")
 
 
 class FlagValueError(argparse.ArgumentTypeError, ValueError):
@@ -114,7 +113,40 @@ def _json_doc(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=2)
 
 
+# flags each eval target and table kind reads, with their defaults
+TARGET_FLAGS = {
+    "eval": {
+        "superhyp": {"n": [2], "x": [1.0], "method": "series"},
+        "bessel": {"x": [1.0], "kmax": 10},
+        "trace": {"n": [2], "x": [1.0], "w": 1 + 0j, "j": 0},
+    },
+    "table": {
+        "superhyp": {"n": [3], "x": [1.0], "method": "series", "format": "csv"},
+        "identity": {"n": [3], "x": [1.0], "format": "csv"},
+        "bessel": {"x": [1.0], "kmax": 8, "format": "csv"},
+    },
+}
+EVAL_OPS = tuple(TARGET_FLAGS["eval"])
+TABLE_KINDS = tuple(TARGET_FLAGS["table"])
+
+
+def _target_flags(command: str) -> list[str]:
+    """Every flag some target of `command` reads, in first-seen order."""
+    return list(dict.fromkeys(f for reads in TARGET_FLAGS[command].values() for f in reads))
+
+
+def _apply_target_flags(args, command: str, target: str) -> None:
+    """Fill the target's defaults; a flag the target does not read is a usage error."""
+    reads = TARGET_FLAGS[command][target]
+    for flag in _target_flags(command):
+        if getattr(args, flag) is None:
+            setattr(args, flag, reads.get(flag))
+        elif flag not in reads:
+            raise ValueError(f"{command} {target} takes no --{flag}")
+
+
 def cmd_eval(args) -> int:
+    _apply_target_flags(args, "eval", args.target)
     records = []
     if args.target == "superhyp":
         for n in args.n:
@@ -232,6 +264,7 @@ def _rows_bessel(args) -> tuple[list[str], list[list]]:
 
 
 def cmd_table(args) -> int:
+    _apply_target_flags(args, "table", args.kind)
     header, rows = {
         "superhyp": _rows_superhyp,
         "identity": _rows_identity,
@@ -255,15 +288,15 @@ FLAGS = {
     "N": {"type": parse_int_grid, "help": "half-width grid"},
     "x": {"type": parse_grid, "help": "argument grid, e.g. -3..3:0.5"},
     "w": {"type": parse_complex, "help": "complex as re,im (or re)"},
-    "j": {"type": int, "default": 0, "help": "class index"},
-    "method": {"choices": hyperbolic.METHODS, "default": "series"},
+    "j": {"type": int, "help": "class index"},
+    "method": {"choices": hyperbolic.METHODS},
     "mode": {"choices": ("cyclic", "open")},
     "alpha": {"type": float, "help": "gauge offset in [0,1)"},
     "kmax": {"type": int, "help": "highest order / truncation"},
     "tol": {"type": positive_float, "help": "tolerance override"},
     "trials": {"type": positive_int, "help": "random trials per level"},
     "seed": {"type": int},
-    "format": {"choices": ("json", "csv"), "default": "csv"},
+    "format": {"choices": ("json", "csv")},
     "out": {"help": "write output to this path"},
 }
 
@@ -289,8 +322,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = commands.add_parser("eval", help="print requested values as JSON lines")
     sub.add_argument("target", choices=EVAL_OPS)
-    _add_flags(sub, "n", "x", "w", "j", "method", "kmax")
-    sub.set_defaults(handler=cmd_eval, n=[2], x=[1.0], kmax=10, w=1 + 0j)
+    _add_flags(sub, *_target_flags("eval"))
+    sub.set_defaults(handler=cmd_eval)
 
     sub = commands.add_parser("verify", help="run an identity suite; exit 0 iff it passes")
     sub.add_argument("suite", choices=verify.SUITE_NAMES)
@@ -304,8 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = commands.add_parser("table", help="emit a CSV or JSON table")
     sub.add_argument("kind", choices=TABLE_KINDS)
-    _add_flags(sub, "n", "x", "kmax", "method", "format")
-    sub.set_defaults(handler=cmd_table, n=[3], x=[1.0], kmax=8)
+    _add_flags(sub, *_target_flags("table"))
+    sub.set_defaults(handler=cmd_table)
     return parser
 
 

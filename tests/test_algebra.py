@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -140,10 +141,68 @@ def test_mat_exp_rejects_bad_input():
         algebra.mat_exp(np.array([[np.inf, 0], [0, 1]]))
     with pytest.raises(DomainError):
         algebra.mat_exp(np.zeros((2, 3)))
-    with pytest.raises(DomainError):
-        algebra.mat_exp(np.eye(2), tol=1e-3)
-    with pytest.raises(DomainError):
-        algebra.mat_exp(np.eye(2), tol=0.0)
+
+
+def _horner_mat_exp(a):
+    """Reference: the same scaling and squarings, the order-16 Taylor
+    polynomial by Horner (16 products), always in complex arithmetic."""
+    a = np.asarray(a, dtype=complex)
+    norm = float(np.abs(a).sum(axis=0).max())
+    squarings = 0 if norm <= 0.5 else int(np.ceil(np.log2(norm) + 1.0))
+    b = a / (2.0 ** squarings)
+    eye = np.eye(a.shape[0], dtype=complex)
+    r = eye.copy()
+    for k in range(algebra.TAYLOR_ORDER, 0, -1):
+        r = eye + (b @ r) / k
+    for _ in range(squarings):
+        r = r @ r
+    return r
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 16, 64])
+@pytest.mark.parametrize("kind", [float, complex])
+def test_mat_exp_matches_expm_and_the_horner_form(n, kind):
+    # error model: the squarings amplify the rounding of the scaled
+    # polynomial by about the 1-norm, so both bounds scale with max(1, norm)
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(1000 * n + (kind is complex))
+    for norm in (0.1, 0.5, 1.0, 3.0, 7.0, 12.0, 20.0):
+        a = rng.standard_normal((n, n))
+        if kind is complex:
+            a = a + 1j * rng.standard_normal((n, n))
+        a *= norm / np.abs(a).sum(axis=0).max()
+        got = algebra.mat_exp(a)
+        assert got.dtype == np.dtype(kind)
+        want = scipy.linalg.expm(a)
+        scale = max_abs(want) * max(1.0, norm)
+        assert max_abs(got - want) <= 1024 * eps * scale, (n, kind, norm)
+        assert max_abs(got - _horner_mat_exp(a)) <= 64 * eps * scale, (n, kind, norm)
+
+
+def test_mat_exp_keeps_real_input_real():
+    assert algebra.mat_exp(np.eye(3)).dtype == np.float64
+    assert algebra.mat_exp(np.arange(9).reshape(3, 3) / 9).dtype == np.float64
+    assert algebra.mat_exp(1.5 * algebra.shift_matrix(4)).dtype == np.complex128
+    # determinant still works in complex arithmetic on a real argument
+    assert algebra.determinant(np.eye(3)) == 1.0 + 0j
+
+
+def _gather_circulant(col):
+    """Reference: the dense circulant by an n x n index gather."""
+    col = np.asarray(col)
+    k = np.arange(col.size)
+    return col[(k[:, None] - k[None, :]) % col.size]
+
+
+@pytest.mark.parametrize("n", [*range(1, 18), 256, 2048])
+def test_circulant_is_the_index_gather_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    real = rng.standard_normal(2 * n)
+    for col in (real[:n], real[:n] + 1j * real[n:], real[::2], (real + 1j * real)[1::2]):
+        got = algebra.circulant(col)
+        want = _gather_circulant(col)
+        assert got.dtype == want.dtype and got.shape == (n, n)
+        assert got.flags.c_contiguous and got.tobytes() == want.tobytes()
 
 
 def test_determinant_identity():

@@ -192,3 +192,18 @@ def test_cyclic_lattice_reproduces_finite_generating_matrix():
     np.testing.assert_allclose(
         lattice_matrix[:, 3], np.roll(finite[:, 0], 3), atol=1e-10
     )
+
+
+@pytest.mark.parametrize("N", [1, 5, 200])
+def test_open_lattice_real_route_is_the_complex_exponential(N):
+    # the former route: the complex exponential of (x/2)(w S + S^T/w)
+    eps = np.finfo(float).eps
+    ops = circle.build_lattice(N, mode="open")
+    s = ops.s.astype(complex)
+    x = 4.0
+    for w in (np.exp(1.234j), 0.8, 0.8 * np.exp(1j * np.pi / 5), -1.0, 1j, 2.0, 1.0 / 3.0):
+        got = circle.generating_operator(ops, x, w)
+        want = algebra.mat_exp((x / 2.0) * (w * s + s.T / w))
+        floor = circle.RESOLUTION_EPS_FACTOR * eps * np.exp(abs(x) * max(abs(w), 1.0 / abs(w)))
+        assert got.dtype == np.complex128
+        assert np.abs(got - want).max() <= floor, (N, w)

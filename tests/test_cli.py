@@ -156,6 +156,11 @@ def test_domain_error_exit_code(capsys):
         (["verify", "addition", "--trials", "20000"], 3),
         (["verify", "mixed", "--seed", "-1"], 3),
         (["eval", "superhyp", "--x", "-1e300"], 3),
+        (["eval", "bessel", "--n", "5,6", "--j", "3", "--method", "filter", "--x", "1"], 2),
+        (["table", "bessel", "--n", "2,3,4", "--method", "filter"], 2),
+        (["table", "identity", "--kmax", "4", "--method", "filter"], 2),
+        (["eval", "superhyp", "--kmax", "3", "--w", "2", "--j", "1"], 2),
+        (["table", "superhyp", "--kmax", "5"], 2),
     ],
 )
 def test_bad_input_exits_with_error_line_not_traceback(argv, expected):
@@ -176,6 +181,34 @@ def test_bad_input_exits_with_error_line_not_traceback(argv, expected):
 def test_flag_the_suite_does_not_take_is_usage_error(argv, capsys):
     assert cli.main(argv) == 2
     assert f"error: suite {argv[1]} takes no {argv[2]}" in capsys.readouterr().err
+
+
+def test_targets_without_flags_keep_their_defaults(capsys):
+    params = {
+        "superhyp": {"n": 2, "x": 1.0, "method": "series"},
+        "bessel": {"x": 1.0, "kmax": 10},
+        "trace": {"n": 2, "x": 1.0, "w": {"re": 1.0, "im": 0.0}, "j": 0},
+    }
+    for target, expected in params.items():
+        _, out = run_cli(capsys, "eval", target)
+        assert json.loads(out)["params"] == expected
+    for kind, header, rows in (("superhyp", "x,c0,c1,c2", 1), ("identity", "x,residual", 1), ("bessel", "order,value", 9)):
+        _, out = run_cli(capsys, "table", kind)
+        lines = out.splitlines()
+        assert lines[0] == header and len(lines) == 1 + rows and lines[1].startswith(("1.0,", "0,"))
+
+
+@pytest.mark.parametrize("command", sorted(cli.TARGET_FLAGS))
+def test_flag_the_target_does_not_take_is_usage_error(command, capsys):
+    values = {"n": "3", "x": "1", "w": "1", "j": "0", "method": "series", "kmax": "4", "format": "csv"}
+    for target, reads in cli.TARGET_FLAGS[command].items():
+        for flag in cli._target_flags(command):
+            code = cli.main([command, target, f"--{flag}", values[flag]])
+            err = capsys.readouterr().err
+            if flag in reads:
+                assert code == 0, (command, target, flag, err)
+            else:
+                assert code == 2 and f"error: {command} {target} takes no --{flag}" in err
 
 
 @pytest.mark.parametrize(
