@@ -121,10 +121,19 @@ def mat_exp(a) -> np.ndarray:
     P_0 + B^4 (P_1 + B^4 (P_2 + B^4 (P_3 + B^4 / 16!))), which takes
     B^2, B^3, B^4 and three products by B^4, i.e. 6 + s matrix products
     in all (Horner would take 16 + s).  A real argument is exponentiated
-    in real arithmetic and returns float64; anything else returns
-    complex128.
+    in real arithmetic and returns float64.  So is a complex argument
+    whose imaginary parts are all exactly zero, but it returns
+    complex128, bit for bit the real result with a zero imaginary part;
+    anything else runs in complex arithmetic.
     """
     a = _require_square_finite(a)
+    if np.iscomplexobj(a) and not a.imag.any():
+        return _taylor_exp(a.real).astype(complex)
+    return _taylor_exp(a)
+
+
+def _taylor_exp(a: np.ndarray) -> np.ndarray:
+    """The scaling-and-squaring core of mat_exp, in the arithmetic of a's dtype."""
     norm = float(np.abs(a).sum(axis=0).max())
     squarings = 0 if norm <= 0.5 else int(np.ceil(np.log2(norm) + 1.0))
     b = a / (2.0 ** squarings)
@@ -144,26 +153,12 @@ def mat_exp(a) -> np.ndarray:
 
 
 def determinant(a) -> complex:
-    """Determinant via LU with partial pivoting on magnitude.
+    """Determinant via LAPACK's LU with partial pivoting (np.linalg.det).
 
-    Ties in the pivot search resolve to the lowest row index, so the
-    elimination order (and hence rounding) is deterministic.  Exact on
-    permutation matrices.
+    A real matrix is factored in real arithmetic.  Exact on permutation
+    matrices; an exactly singular matrix gives 0.
     """
-    a = _require_square_finite(a).astype(complex)
-    n = a.shape[0]
-    det = 1.0 + 0.0j
-    for col in range(n):
-        pivot = col + int(np.argmax(np.abs(a[col:, col])))
-        if a[pivot, col] == 0:
-            return 0j
-        if pivot != col:
-            a[[col, pivot]] = a[[pivot, col]]
-            det = -det
-        det *= a[col, col]
-        if col + 1 < n:
-            a[col + 1:, col:] -= np.outer(a[col + 1:, col] / a[col, col], a[col, col:])
-    return complex(det)
+    return complex(np.linalg.det(_require_square_finite(a)))
 
 
 def pauli_residuals(n: int) -> dict[str, float]:

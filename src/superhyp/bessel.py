@@ -178,6 +178,11 @@ class ClassicResiduals(NamedTuple):
     sinh: float
 
 
+def classic_min_order(x: float) -> int:
+    """Smallest truncation order classic_identity_residuals accepts at x: ceil(2*max(8, |x|))."""
+    return math.ceil(2 * max(8.0, abs(float(x))))
+
+
 def classic_identity_residuals(x: float, K: int) -> ClassicResiduals:
     """Defects of the classical identities, truncated at order K.
 
@@ -189,7 +194,7 @@ def classic_identity_residuals(x: float, K: int) -> ClassicResiduals:
     negligible against the exp(|x|) working scale.
     """
     x = require_x(x, X_MAX)
-    K = require_order(K, math.ceil(2 * max(8.0, abs(x))))
+    K = require_order(K, classic_min_order(x))
     v = bessel_table(K, x).values
     k = np.arange(1, K + 1)
     even = v[2::2]

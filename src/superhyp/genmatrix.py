@@ -4,10 +4,12 @@ exp((x/2) (w * shift + (1/w) * shift^dagger)) is a circulant whose
 coefficient of shift^m collects the orders congruent to m mod n of the
 scalar generating function sum_k I_k(x) w^k.  Trace projections against
 shift powers extract one residue class at a time, by three independent
-routes: the literal trace of the matrix built from one FFT
-(`trace_projection`); the direct, FFT-free O(n) roots-of-unity sum
-`exponential_sum`, the reference of the trace_vs_sum check; and the
-truncated bilateral Bessel sum `bessel_comb_series`, the reference of
+routes: the trace of the matrix times a shift power, which for a
+circulant is one entry of its first column, built from one FFT
+(`generating_column`, `trace_projection`); the direct, FFT-free O(n)
+roots-of-unity sum `exponential_sum`, the reference of the trace_vs_sum
+check; and the truncated bilateral Bessel sum `bessel_comb_series` (all
+classes from one Bessel table: `bessel_comb_column`), the reference of
 trace_vs_bessel.  The completeness check compares the sum of all n
 traces with exp((x/2)(w + 1/w)).
 """
@@ -35,29 +37,42 @@ class GeneratingMatrixEval:
     matrix: np.ndarray
 
 
-def generating_matrix(n: int, x: float, w: complex) -> GeneratingMatrixEval:
-    """Evaluate the matrix generating function spectrally.
+def generating_column(n: int, x: float, w: complex) -> np.ndarray:
+    """First column of the generating matrix, in O(n log n) by one FFT.
 
     The eigenvalues are exp((x/2)(w s^k + s^(-k)/w)) over the n-th roots
-    of unity s^k: O(n log n) column (one FFT of the eigenvalues), O(n^2)
-    dense gather of the circulant from it.
+    of unity s^k; entry m is the class sum of the orders congruent to m
+    mod n.
     """
     n = require_level(n)
     unit_scale(x, w)
     x, w = float(x), complex(w)
     roots = roots_of_unity(n)
-    eig = np.exp((x / 2.0) * (w * roots + np.conj(roots) / w))
-    return GeneratingMatrixEval(n=n, x=x, w=w, matrix=circulant(circulant_column(eig)))
+    return circulant_column(np.exp((x / 2.0) * (w * roots + np.conj(roots) / w)))
+
+
+def generating_matrix(n: int, x: float, w: complex) -> GeneratingMatrixEval:
+    """Evaluate the matrix generating function spectrally.
+
+    The dense circulant gathered from `generating_column`: O(n log n) for
+    the column, O(n^2) time and memory for the matrix.  Callers that need
+    only traces read the column instead (`trace_projection`).
+    """
+    col = generating_column(n, x, w)
+    return GeneratingMatrixEval(n=col.size, x=float(x), w=complex(w), matrix=circulant(col))
 
 
 def trace_projection(n: int, x: float, w: complex, j: int) -> complex:
-    """(1/n) tr(generating matrix @ shift^j), the literal trace route.
+    """(1/n) tr(generating matrix @ shift^j), read from one column entry.
 
-    Taken over M rolled left by j, as (M @ shift^j)[i, i] = M[i, (i+j) mod n].
+    (M @ shift^j)[i, i] = M[i, (i+j) mod n] = col[-j mod n] for every i,
+    since M is the circulant of col, so the n diagonal terms are equal and
+    their mean is that entry: O(n log n) time and O(n) memory, no n x n
+    matrix.
     """
-    ev = generating_matrix(n, x, w)
-    j = require_index(j, ev.n)
-    return complex(np.trace(np.roll(ev.matrix, -j, axis=1)) / ev.n)
+    col = generating_column(n, x, w)
+    j = require_index(j, col.size)
+    return complex(col[-j % col.size])
 
 
 def exponential_sum(n: int, x: float, w: complex, j: int) -> complex:
@@ -96,8 +111,30 @@ def bessel_comb_series(n: int, x: float, w: complex, j: int, K: int) -> complex:
     x, w = float(x), complex(w)
     j = require_index(j, n)
     K = require_order(K, math.ceil(n + abs(x) + 20))
-    values = bessel_table(K, x).values
-    K = int(np.flatnonzero(values)[-1])  # orders past the underflow add nothing (see unit_scale)
+    return _comb_sum(bessel_table(K, x).values, n, w, j, K)
+
+
+def bessel_comb_column(n: int, x: float, w: complex) -> np.ndarray:
+    """bessel_comb_series for every class j at its default truncation, from one table.
+
+    The table is built once, at the largest per-class truncation; class j
+    still sums only the orders |n*k-j| <= default_comb_truncation(n, x, w, j).
+    """
+    n = require_level(n)
+    unit_scale(x, w)
+    x, w = float(x), complex(w)
+    K = [default_comb_truncation(n, x, w, j) for j in range(n)]
+    values = bessel_table(max(K), x).values
+    return np.array([_comb_sum(values, n, w, j, K[j]) for j in range(n)])
+
+
+def _comb_sum(values, n: int, w: complex, j: int, K: int) -> complex:
+    """sum over k of values[|n*k-j|] w^(n*k-j) for |n*k-j| <= K, with values a Bessel table.
+
+    Orders past the table's last nonzero value add nothing (see
+    unit_scale), so the sum stops there even when K is larger.
+    """
+    K = min(K, int(np.flatnonzero(values)[-1]))
     k_lo = math.ceil((-K + j) / n)
     k_hi = math.floor((K + j) / n)
     total = 0j

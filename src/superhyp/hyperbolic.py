@@ -12,11 +12,13 @@ addition and mixed-product identities verified here come from.  The
 filter gets all n classes from one FFT (`filter_column`), the series
 all n classes from one pass over its terms (`series_column`), and each
 check has an FFT-free side: `series_column` for the filter (agreement);
-the exact value 1 for the LU determinant of `exp_circulant` and for the
-printed polynomials in series values (identity, polynomial); series at
-x+y against the convolution of series at x and y (addition); the series
-product against one filter column (mixed).  Tests also compare
-`exp_circulant` with the dense `algebra.mat_exp`.
+the exact value 1 for the LU determinant (LAPACK) of the dense
+`exp_circulant` and for the printed polynomials in series values
+(identity, polynomial); series at x+y against the convolution of series
+at x and y (addition); the series product against one filter column
+(mixed).  The identity check factors the dense matrix rather than
+multiplying its eigenvalues, whose product is 1 by construction.  Tests
+also compare `exp_circulant` with the dense `algebra.mat_exp`.
 
 Error model: for x >= 0 every series term is nonnegative and the sums
 are accurate to relative machine precision.  For x < 0 the partial sums

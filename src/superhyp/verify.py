@@ -262,11 +262,17 @@ def verify_bessel(x_values=None, kmax=None, w_values=None, tol=None) -> Verifica
     """Classical summation identities, three-term recurrence, generating function."""
     started = time.perf_counter()
     x_values = _grid(x_values, "bessel_x", _x)
-    K = require_order(kmax if kmax is not None else DEFAULT_GRIDS["bessel_kmax"])
+    if kmax is not None:
+        kmax = require_order(kmax)
     w_values = _grid(w_values, "w_values", complex)
     t = _tols("bessel", tol)
+    # without a caller's kmax the truncation follows x, up from the default
+    orders = [
+        kmax if kmax is not None else max(DEFAULT_GRIDS["bessel_kmax"], bessel.classic_min_order(x))
+        for x in x_values
+    ]
     cases = []
-    for x in x_values:
+    for x, K in zip(x_values, orders):
         scale = math.exp(abs(x))
         residuals = bessel.classic_identity_residuals(x, K)
         for name, value in residuals._asdict().items():
@@ -298,7 +304,7 @@ def verify_bessel(x_values=None, kmax=None, w_values=None, tol=None) -> Verifica
             )
     return _finish(
         "bessel",
-        {"x_values": x_values, "kmax": K, "w_values": [complex_payload(w) for w in w_values], "tol": t},
+        {"x_values": x_values, "kmax": max(orders), "w_values": [complex_payload(w) for w in w_values], "tol": t},
         cases,
         started,
     )
@@ -317,13 +323,14 @@ def verify_genmatrix(n_values=None, x_values=None, w_values=None, tol=None) -> V
             for w in w_values:
                 scale = math.exp(genmatrix.unit_scale(x, w))
                 w_pay = complex_payload(w)
+                # trace_projection for every j at once: entry -j mod n of one column
+                col = genmatrix.generating_column(n, x, w)
+                combs = genmatrix.bessel_comb_column(n, x, w)
                 totals = 0j
                 for j in range(n):
-                    tr = genmatrix.trace_projection(n, x, w, j)
+                    tr = complex(col[-j % n])
                     es = genmatrix.exponential_sum(n, x, w, j)
-                    comb = genmatrix.bessel_comb_series(
-                        n, x, w, j, genmatrix.default_comb_truncation(n, x, w, j)
-                    )
+                    comb = complex(combs[j])
                     totals += tr
                     base = {"n": n, "x": x, "j": j, "w": w_pay}
                     cases.append(

@@ -6,7 +6,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from superhyp import algebra
+from superhyp import algebra, hyperbolic
 from superhyp.errors import DomainError
 
 
@@ -179,11 +179,34 @@ def test_mat_exp_matches_expm_and_the_horner_form(n, kind):
         assert max_abs(got - _horner_mat_exp(a)) <= 64 * eps * scale, (n, kind, norm)
 
 
+@pytest.mark.parametrize("n", [1, 2, 5, 16, 64])
+def test_mat_exp_runs_a_real_valued_complex_argument_in_real_arithmetic(n):
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(2000 + n)
+    for norm in (0.1, 1.0, 7.0, 20.0):
+        real = rng.standard_normal((n, n))
+        real *= norm / np.abs(real).sum(axis=0).max()
+        a = real.astype(complex)
+        got = algebra.mat_exp(a)
+        assert got.dtype == np.complex128
+        assert got.real.tobytes() == algebra.mat_exp(real).tobytes()
+        assert not got.imag.any()
+        scale = max_abs(got) * max(1.0, norm)
+        assert max_abs(got - _horner_mat_exp(a)) <= 64 * eps * scale, (n, norm)
+    # one nonzero imaginary entry keeps the whole product complex
+    a = real.astype(complex)
+    a[0, -1] += 1e-3j
+    got = algebra.mat_exp(a)
+    want = scipy.linalg.expm(a)
+    assert got.imag.any()
+    assert max_abs(got - want) <= 1024 * eps * max_abs(want) * max(1.0, norm)
+
+
 def test_mat_exp_keeps_real_input_real():
     assert algebra.mat_exp(np.eye(3)).dtype == np.float64
     assert algebra.mat_exp(np.arange(9).reshape(3, 3) / 9).dtype == np.float64
     assert algebra.mat_exp(1.5 * algebra.shift_matrix(4)).dtype == np.complex128
-    # determinant still works in complex arithmetic on a real argument
+    # determinant returns a complex value on a real argument too
     assert algebra.determinant(np.eye(3)) == 1.0 + 0j
 
 
@@ -203,6 +226,52 @@ def test_circulant_is_the_index_gather_bit_for_bit(n):
         want = _gather_circulant(col)
         assert got.dtype == want.dtype and got.shape == (n, n)
         assert got.flags.c_contiguous and got.tobytes() == want.tobytes()
+
+
+def _loop_lu_determinant(a):
+    """Reference: the former Python-loop LU with partial pivoting, ties to the lowest row."""
+    a = np.array(a, dtype=complex)
+    n = a.shape[0]
+    det = 1.0 + 0.0j
+    for col in range(n):
+        pivot = col + int(np.argmax(np.abs(a[col:, col])))
+        if a[pivot, col] == 0:
+            return 0j
+        if pivot != col:
+            a[[col, pivot]] = a[[pivot, col]]
+            det = -det
+        det *= a[col, col]
+        if col + 1 < n:
+            a[col + 1:, col:] -= np.outer(a[col + 1:, col] / a[col, col], a[col, col:])
+    return complex(det)
+
+
+def _assert_same_determinant(a, cond):
+    # error model: a backward-stable LU perturbs log det by about
+    # n * eps * cond(a), so two LUs that differ in blocking and operation
+    # order agree to that relative bound (measured: below 1e-2 of it)
+    n = a.shape[0]
+    want = _loop_lu_determinant(a)
+    got = algebra.determinant(a)
+    assert abs(got - want) <= n * np.finfo(float).eps * cond * abs(want), (n, got, want)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 64, 256])
+@pytest.mark.parametrize("kind", [float, complex])
+def test_determinant_matches_the_loop_lu(n, kind):
+    rng = np.random.default_rng(10 * n + (kind is complex))
+    a = rng.standard_normal((n, n))
+    if kind is complex:
+        a = a + 1j * rng.standard_normal((n, n))
+    _assert_same_determinant(a, np.linalg.cond(a))
+
+
+@pytest.mark.parametrize("n", [256, 1024])
+@pytest.mark.parametrize("x", [1.0, 10.0])
+def test_determinant_matches_the_loop_lu_on_the_circulant_exponential(n, x):
+    # exp(x * shift) is normal with eigenvalues exp(x s^k), so its
+    # condition number is at most exp(2|x|)
+    _assert_same_determinant(hyperbolic.exp_circulant(n, x), math.exp(2 * abs(x)))
 
 
 def test_determinant_identity():

@@ -175,6 +175,21 @@ def test_bad_input_exits_with_error_line_not_traceback(argv, expected):
     assert all(len(line) < 200 for line in proc.stderr.splitlines() if "error:" in line)
 
 
+def test_verify_bessel_default_truncation_follows_x(capsys):
+    # without --kmax each x takes max(80, ceil(2 max(8, |x|))), the least
+    # order the classical identities accept; the default grid keeps 80
+    code, out = run_cli(capsys, "verify", "bessel", "--x", "0.5..50:0.5")
+    report = json.loads(out)
+    assert code == 0 and report["pass"] and len(report["cases"]) == 2430
+    orders = {c["inputs"]["x"]: c["inputs"]["K"] for c in report["cases"] if c["inputs"]["identity"] == "exp"}
+    assert orders[40.0] == 80 and orders[40.5] == 81 and orders[50.0] == 100
+    assert report["params"]["kmax"] == 100
+    code, out = run_cli(capsys, "verify", "bessel")
+    assert code == 0 and json.loads(out)["params"]["kmax"] == 80
+    # an explicit kmax below the bound is still a domain error
+    assert run_cli(capsys, "verify", "bessel", "--x", "50", "--kmax", "99")[0] == 3
+
+
 @pytest.mark.parametrize(
     "argv", [["verify", "pauli", "--x", "5"], ["verify", "bessel", "--n", "3"]]
 )

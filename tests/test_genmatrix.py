@@ -1,12 +1,13 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.special
 
 from superhyp import algebra, bessel, genmatrix
-from superhyp.errors import DomainError
+from superhyp.errors import MAX_LEVEL, DomainError
 
 W_SET = (1.0 + 0j, 0.8 + 0j, cmath.exp(1j * math.pi / 5))
 
@@ -110,14 +111,45 @@ def test_trace_projection_at_zero():
         assert abs(genmatrix.trace_projection(n, 0.0, 1.0, 0) - 1.0) <= 1e-14
 
 
-@pytest.mark.parametrize("n", [2, 5, 64])
+@pytest.mark.parametrize("n", [2, 5, 64, 256])
 def test_trace_projection_is_trace_of_product_with_shift_power(n):
-    # the rolled-view trace against the literal product with the permutation
+    # the column entry against the literal product with the permutation;
+    # the mean of n equal diagonal terms rounds, so the two agree to
+    # about n rounding errors of the largest entry
     x, w = 1.3, 0.8 + 0.2j
     m = genmatrix.generating_matrix(n, x, w).matrix
+    bound = 4 * n * np.finfo(float).eps * np.abs(m).max()
     for j in range(n):
         expected = np.trace(m @ algebra.shift_power(n, j)) / n
-        assert genmatrix.trace_projection(n, x, w, j) == expected
+        assert abs(genmatrix.trace_projection(n, x, w, j) - expected) <= bound
+
+
+def test_trace_projection_allocates_no_matrix_at_the_level_cap():
+    # a dense MAX_LEVEL^2 complex matrix would be 256 MiB; the column is 64 KiB
+    j = MAX_LEVEL // 3
+    genmatrix.trace_projection(MAX_LEVEL, 1.0, 0.8, j)  # warm numpy's FFT plan cache
+    tracemalloc.start()
+    try:
+        value = genmatrix.trace_projection(MAX_LEVEL, 1.0, 0.8, j)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
+    assert abs(value - genmatrix.exponential_sum(MAX_LEVEL, 1.0, 0.8, j)) <= 1e-11 * math.e
+
+
+def test_column_routes_match_their_per_class_forms():
+    for n, x, w in ((5, 1.3, 0.8 + 0.2j), (64, 2.0, W_SET[2])):
+        col = genmatrix.generating_column(n, x, w)
+        np.testing.assert_array_equal(genmatrix.generating_matrix(n, x, w).matrix[:, 0], col)
+        combs = genmatrix.bessel_comb_column(n, x, w)
+        scale = math.exp(genmatrix.unit_scale(x, w))
+        for j in range(n):
+            assert genmatrix.trace_projection(n, x, w, j) == col[-j % n]
+            K = genmatrix.default_comb_truncation(n, x, w, j)
+            # one table at the largest truncation against a table per class:
+            # the Miller start order differs, so they agree to rounding
+            assert abs(combs[j] - genmatrix.bessel_comb_series(n, x, w, j, K)) <= 1e-14 * scale
 
 
 def test_first_row_matches_direct_sum_at_large_n():
