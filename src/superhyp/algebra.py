@@ -16,6 +16,11 @@ from .errors import DomainError, require_level
 TAYLOR_ORDER = 16
 # 1/k! for k = 0..TAYLOR_ORDER, the Taylor coefficients of exp
 _INV_FACTORIAL = tuple(1.0 / math.factorial(k) for k in range(TAYLOR_ORDER + 1))
+# Paterson-Stockmeyer blocks P_i(B) = sum_{j<4} B^j / (4i + j)!, i = 0..3:
+# row i holds the coefficients of B, B^2, B^3; the identity terms go on the diagonals
+_BLOCK_COEFFS = np.array([[_INV_FACTORIAL[4 * i + j] for j in (1, 2, 3)] for i in range(4)])
+_BLOCK_IDENTITY = _INV_FACTORIAL[0:16:4]
+_SQRT_TINY = math.sqrt(np.finfo(float).tiny)  # 2^-511, exactly
 
 
 def max_abs(a) -> float:
@@ -120,11 +125,30 @@ def mat_exp(a) -> np.ndarray:
     with P_i(B) = sum_{j<4} B^j / (4i + j)!, it is
     P_0 + B^4 (P_1 + B^4 (P_2 + B^4 (P_3 + B^4 / 16!))), which takes
     B^2, B^3, B^4 and three products by B^4, i.e. 6 + s matrix products
-    in all (Horner would take 16 + s).  A real argument is exponentiated
-    in real arithmetic and returns float64.  So is a complex argument
-    whose imaginary parts are all exactly zero, but it returns
-    complex128, bit for bit the real result with a zero imaginary part;
-    anything else runs in complex arithmetic.
+    in all (Horner would take 16 + s).  The four blocks come from one
+    (4 x 3) . (3 x n^2) product of their coefficients with B, B^2, B^3
+    stacked in one array, plus the identity terms 1/(4i)! added on the
+    diagonals.  Every product writes into a preallocated plane
+    (np.matmul(..., out=)) and every sum is in place, so the peak working
+    memory is 7 n x n planes of the working dtype (the stacked powers and
+    the blocks): 7 n^2 * 8 bytes for a real argument, 14 n^2 * 8 for a
+    complex one, and 7 n^2 * 8 for a complex argument run in real
+    arithmetic (see below), whose complex128 result is made after the
+    working planes are freed.
+
+    Before each squaring, the entries of R (for a complex R, its real
+    and imaginary parts) smaller than sqrt(tiny) ~ 1.5e-154 in magnitude
+    are set to 0.  No product of two kept entries then falls below the
+    smallest normal double, where BLAS runs many times slower.  Each
+    entry of the square moves by less than 3 n sqrt(tiny) max|R|, below
+    the product's own rounding n eps max|R|^2 whenever max|R| > 1e-137.
+    The cost is that an entry fed only by such products comes back as 0
+    instead of a subnormal number.
+
+    A real argument is exponentiated in real arithmetic and returns
+    float64.  So is a complex argument whose imaginary parts are all
+    exactly zero, but it returns complex128, bit for bit the real result
+    with a zero imaginary part; anything else runs in complex arithmetic.
     """
     a = _require_square_finite(a)
     if np.iscomplexobj(a) and not a.imag.any():
@@ -132,24 +156,50 @@ def mat_exp(a) -> np.ndarray:
     return _taylor_exp(a)
 
 
+def _floats(plane: np.ndarray) -> np.ndarray:
+    # the memory of a contiguous array as flat float64: a complex plane gives 2 n^2 parts
+    return plane.reshape(-1).view(np.float64)
+
+
 def _taylor_exp(a: np.ndarray) -> np.ndarray:
     """The scaling-and-squaring core of mat_exp, in the arithmetic of a's dtype."""
-    norm = float(np.abs(a).sum(axis=0).max())
+    n = a.shape[0]
+    powers = np.empty((3, n, n), a.dtype)
+    b, b2, b3 = powers
+    norm = float(np.abs(a, out=_floats(b)[: n * n].reshape(n, n)).sum(axis=0).max())
     squarings = 0 if norm <= 0.5 else int(np.ceil(np.log2(norm) + 1.0))
-    b = a / (2.0 ** squarings)
-    b2 = b @ b
-    powers = (np.eye(a.shape[0], dtype=a.dtype), b, b2, b2 @ b)
-    b4 = b2 @ b2
-
-    def block(i: int) -> np.ndarray:
-        return sum(_INV_FACTORIAL[4 * i + j] * p for j, p in enumerate(powers))
-
-    r = block(3) + _INV_FACTORIAL[TAYLOR_ORDER] * b4
-    for i in (2, 1, 0):
-        r = block(i) + b4 @ r
-    for _ in range(squarings):
-        r = r @ r
-    return r
+    np.divide(a, 2.0 ** squarings, out=b)
+    np.matmul(b, b, out=b2)
+    np.matmul(b2, b, out=b3)
+    blocks = np.empty((4, n, n), a.dtype)
+    # real coefficients act on real and imaginary parts alike
+    np.matmul(_BLOCK_COEFFS, _floats(powers).reshape(3, -1), out=_floats(blocks).reshape(4, -1))
+    for i, c in enumerate(_BLOCK_IDENTITY):
+        blocks[i].reshape(-1)[:: n + 1] += c
+    b4 = np.matmul(b2, b2, out=b)
+    np.multiply(b4, _INV_FACTORIAL[TAYLOR_ORDER], out=b3)
+    blocks[3] += b3
+    r = blocks[3]
+    for i, dst in zip((2, 1, 0), (b3, b2, b3)):
+        np.matmul(b4, r, out=dst)
+        dst += blocks[i]
+        r = dst
+    del blocks
+    if not squarings:
+        return r.copy()
+    # the squarings alternate between b and a fresh result so the last one
+    # lands in the result; b2 holds the magnitudes for the sqrt(tiny) cut
+    result = np.empty_like(b)
+    magnitude = _floats(b2)
+    small = np.empty(magnitude.size, dtype=bool)
+    for k in range(squarings):
+        parts = _floats(r)
+        np.less(np.abs(parts, out=magnitude), _SQRT_TINY, out=small)
+        np.copyto(parts, 0.0, where=small)
+        dst = result if (squarings - k) % 2 else b
+        np.matmul(r, r, out=dst)
+        r = dst
+    return result
 
 
 def determinant(a) -> complex:

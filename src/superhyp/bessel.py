@@ -61,15 +61,22 @@ def _miller_values(kmax: int, x: float) -> np.ndarray:
     # the two live iterates: the stored orders get the rescales they missed
     # (those at steps m < i) exactly, by ldexp, together with the
     # normalization, so a normal-double value is never flushed to zero.
+    # The loop runs on Python floats (the same IEEE operations as numpy
+    # scalars, at a fraction of the cost); order m is stored after step m,
+    # the last step that can rescale it.
     m_start = miller_start_order(kmax, x)
-    p = np.zeros(m_start + 2)
-    p[m_start] = 1.0
+    stored = [0.0] * (m_start + 2)
     missed = np.zeros(m_start + 2, dtype=int)
+    upper, lower = 0.0, 1.0  # p[m + 1], p[m]
     for m in range(m_start, 0, -1):
-        p[m - 1] = p[m + 1] + (2.0 * m / x) * p[m]
-        if p[m - 1] > _RESCALE_LIMIT:
-            p[m - 1:m + 1] *= 1.0 / _RESCALE_LIMIT
+        upper, lower = lower, upper + (2.0 * m / x) * lower
+        if lower > _RESCALE_LIMIT:
+            upper *= 1.0 / _RESCALE_LIMIT
+            lower *= 1.0 / _RESCALE_LIMIT
             missed[m + 1] -= _RESCALE_BITS
+        stored[m] = upper
+    stored[0] = lower
+    p = np.array(stored)
     shift = np.cumsum(missed)
     scaled = np.ldexp(p, shift)
     mantissa, exponent = math.frexp(math.exp(x) / (scaled[0] + 2.0 * scaled[1:].sum()))

@@ -26,9 +26,14 @@ element of the real exponential exp((x/2)(r S + S^T/r)).  The phase has
 modulus 1, so no power of |w| beyond the one the element itself carries
 enters the rounding.  The cyclic lattice has no such gauge: going once
 around the ring picks up the flux u^(2N+1), which no diagonal gauge
-removes, so cyclic mode keeps the complex exponential.  Neither route
-reads a Bessel value, so convergence_study compares two independent
-computations.
+removes, so cyclic mode keeps the complex exponential (real at real w).
+Either way the argument is written straight into the off-diagonals (and,
+cyclic, the two corners) of one array, without building S, and the open
+gauge phases are applied in place on the one complex result.  Elements
+so far from the diagonal that they lie below the smallest normal double
+come back as 0, not as subnormal numbers (mat_exp's sqrt(tiny) cut).
+Neither route reads a Bessel value, so convergence_study compares two
+independent computations.
 """
 
 from __future__ import annotations
@@ -84,9 +89,7 @@ def build_lattice(N: int, mode: str = "cyclic", alpha: float = 0.0) -> LatticeOp
     dim = 2 * N + 1
     levels = np.arange(-N, N + 1, dtype=np.int64)
     g = np.diag(levels)
-    s = np.zeros((dim, dim), dtype=np.int64)
-    for i in range(dim - 1):
-        s[i + 1, i] = 1
+    s = np.eye(dim, k=-1, dtype=np.int64)
     if mode == "cyclic":
         s[0, dim - 1] = 1
     sigma3t = np.diag(np.exp(2j * np.pi * (levels + alpha) / dim))
@@ -137,22 +140,37 @@ def commutator_check(ops: LatticeOperators) -> CommutatorReport:
 def generating_operator(ops: LatticeOperators, x: float, w: complex = 1.0) -> np.ndarray:
     """exp((x/2)(w S + (1/w) S^T)) on the truncated lattice; |x| <= X_MAX, w as in unit_scale.
 
-    Open mode exponentiates the real matrix (x/2)(|w| S + S^T/|w|) and
-    puts the phase u^(m-k), u = w/|w|, on element (m, k) (the gauge
-    argument in the module docstring); cyclic mode exponentiates the
-    complex matrix.  Either way the result is complex128.
+    The argument is written straight into one array: (x/2) times the
+    weight of S on the subdiagonal, (x/2) times that of S^T on the
+    superdiagonal, and in cyclic mode the two wraparound corners.  Open
+    mode exponentiates the real matrix (x/2)(|w| S + S^T/|w|) and puts
+    the phase u^(m-k), u = w/|w|, on element (m, k) of the one complex
+    result, in place (the gauge argument in the module docstring).
+    Cyclic mode exponentiates (x/2)(w S + S^T/w), in float64 when w is
+    real.  Either way the result is complex128.
     """
     x = require_x(x, X_MAX)
     unit_scale(x, w)
     w = complex(w)
+    if ops.mode == "open":
+        w_arg = abs(w)
+    elif w.imag:
+        w_arg = np.complex128(w)  # 1/w then rounds as numpy's array division S^T / w does
+    else:
+        w_arg = w.real
+    up, down = (x / 2.0) * w_arg, (x / 2.0) * (1.0 / w_arg)
+    arg = np.zeros((ops.dim, ops.dim), dtype=type(w_arg))
+    flat = arg.reshape(-1)
+    flat[ops.dim :: ops.dim + 1] = up  # S: (i + 1, i)
+    flat[1 :: ops.dim + 1] = down  # S^T: (i, i + 1)
     if ops.mode == "cyclic":
-        s = ops.s.astype(complex)
-        return mat_exp((x / 2.0) * (w * s + s.T / w))
-    r = abs(w)
-    s = ops.s.astype(float)
+        arg[0, -1], arg[-1, 0] = up, down  # the wraparound bond
+        return mat_exp(arg).astype(complex, copy=False)
     # u^m for m = -N..N, so the phases of central elements carry the least rounding
     gauge = np.exp(1j * cmath.phase(w) * np.arange(-ops.N, ops.N + 1))
-    return gauge[:, None] * mat_exp((x / 2.0) * (r * s + s.T / r)) * gauge.conj()
+    result = np.multiply(gauge[:, None], mat_exp(arg))
+    result *= gauge.conj()
+    return result
 
 
 def generating_operator_element(N: int, x: float, w: complex, m: int, k: int) -> complex:

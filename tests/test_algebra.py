@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from superhyp import algebra, hyperbolic
+from superhyp import algebra, circle, hyperbolic
 from superhyp.errors import DomainError
 
 
@@ -208,6 +209,43 @@ def test_mat_exp_keeps_real_input_real():
     assert algebra.mat_exp(1.5 * algebra.shift_matrix(4)).dtype == np.complex128
     # determinant returns a complex value on a real argument too
     assert algebra.determinant(np.eye(3)) == 1.0 + 0j
+
+
+def _open_lattice_argument(N, x, r):
+    # (x/2)(r S + S^T/r) on the open lattice of dimension 2N + 1
+    s = circle.build_lattice(N, mode="open").s.astype(float)
+    return (x / 2.0) * (r * s + s.T / r)
+
+
+@pytest.mark.parametrize("x, r", [(20.0, 1.0), (30.0, 1.0), (20.0, 2.0)])
+def test_mat_exp_returns_no_subnormal_entry_on_the_open_lattice(x, r):
+    # the far corners of this exponential lie below the smallest normal
+    # double; the sqrt(tiny) cut before each squaring sends them to 0
+    got = algebra.mat_exp(_open_lattice_argument(200, x, r))
+    assert (got == 0.0).any()
+    assert np.abs(got[got != 0.0]).min() >= np.finfo(float).tiny
+
+
+@pytest.mark.parametrize("norm", [0.3, 7.0])
+@pytest.mark.parametrize("kind, planes", [("real", 7), ("real-valued complex", 7), ("complex", 14)])
+def test_mat_exp_peak_working_memory(kind, planes, norm):
+    # the docstring's bound: 7 planes of the working dtype, counted here in n^2 * 8 bytes
+    n = 512
+    rng = np.random.default_rng(512)
+    a = rng.standard_normal((n, n))
+    a *= norm / np.abs(a).sum(axis=0).max()
+    if kind == "complex":
+        a = a + 1j * (norm / n) * rng.standard_normal((n, n))
+    elif kind == "real-valued complex":
+        a = a.astype(complex)
+    tracemalloc.start()
+    try:
+        algebra.mat_exp(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    plane = n * n * 8
+    assert peak <= planes * plane + plane // 16, peak / plane
 
 
 def _gather_circulant(col):

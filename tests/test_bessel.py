@@ -83,6 +83,35 @@ def test_large_orders_do_not_underflow(k, x):
     assert bessel.bessel_table(k, x).values[k] == pytest.approx(expected, rel=1e-10, abs=0.0)
 
 
+def _loop_miller_values(kmax, x):
+    """Reference: the former backward pass, indexing numpy arrays at every step."""
+    m_start = bessel.miller_start_order(kmax, x)
+    p = np.zeros(m_start + 2)
+    p[m_start] = 1.0
+    missed = np.zeros(m_start + 2, dtype=int)
+    for m in range(m_start, 0, -1):
+        p[m - 1] = p[m + 1] + (2.0 * m / x) * p[m]
+        if p[m - 1] > bessel._RESCALE_LIMIT:
+            p[m - 1:m + 1] *= 1.0 / bessel._RESCALE_LIMIT
+            missed[m + 1] -= bessel._RESCALE_BITS
+    shift = np.cumsum(missed)
+    scaled = np.ldexp(p, shift)
+    mantissa, exponent = math.frexp(math.exp(x) / (scaled[0] + 2.0 * scaled[1:].sum()))
+    return np.ldexp(p * mantissa, shift + exponent)
+
+
+@pytest.mark.parametrize("kmax", [0, 1, 30, 127, 2000, 3000])
+def test_miller_values_match_the_numpy_indexed_loop_bit_for_bit(kmax):
+    # the pass rescales its live iterates at every x once kmax >= 127, and at
+    # every kmax for x >= 500 (up to 113 rescales at kmax = 3000, x = 1e-6)
+    for x in (1e-6, 0.03, 1.5, 5.0, 40.0, 500.0, 690.0):
+        assert bessel._miller_values(kmax, x).tobytes() == _loop_miller_values(kmax, x).tobytes(), x
+    # a negative argument reaches the same pass through bessel_table
+    want = _loop_miller_values(kmax, 690.0)[: kmax + 1]
+    want[1::2] *= -1.0
+    assert bessel.bessel_table(kmax, -690.0).values.tobytes() == want.tobytes()
+
+
 def test_table_at_zero():
     table = bessel.bessel_table(10, 0.0)
     np.testing.assert_array_equal(table.values, [1.0] + [0.0] * 10)
