@@ -12,11 +12,11 @@ addition and mixed-product identities verified here come from.  The
 filter gets all n classes from one FFT (`filter_column`), the series
 all n classes from one pass over its terms (`series_column`), and each
 check has an FFT-free side: `series_column` for the filter (agreement);
-the exact value 1 for the LU determinant (LAPACK) of the dense
-`exp_circulant` and for the printed polynomials in series values
-(identity, polynomial); series at x+y against the convolution of series
-at x and y (addition); the series product against one filter column
-(mixed).  The identity check factors the dense matrix rather than
+the exact value 1 for the LU determinant (a real LAPACK LU) of the
+dense float64 `exp_circulant` and for the printed polynomials in series
+values (identity, polynomial); series at x+y against the convolution of
+series at x and y (addition); the series product against one filter
+column (mixed).  The identity check factors the dense matrix rather than
 multiplying its eigenvalues, whose product is 1 by construction.  Tests
 also compare `exp_circulant` with the dense `algebra.mat_exp`.
 
@@ -155,6 +155,19 @@ def c_filter(n: int, j: int, x: float) -> float:
     return c_filter_complex(n, j, x).real
 
 
+def _real_column(col: np.ndarray, scale: float) -> np.ndarray:
+    """The real part of a filter column whose exact value is real.
+
+    The imaginary part must be rounding residue, at most 1e-10 * scale
+    (scale is exp of the summed |arguments|); a larger or NaN residue
+    raises ValidationError.
+    """
+    imag = max_abs(col.imag)
+    if not imag <= 1e-10 * scale:
+        raise ValidationError(f"filter sum failed to collapse to a real value: imag={imag!r}")
+    return col.real
+
+
 def _values(n: int, x: float, method: str, tol: float = 1e-14) -> np.ndarray:
     if method == "series":
         return series_column(n, x, tol)
@@ -210,14 +223,17 @@ def c_all(n: int, x: float, method: str = "series") -> SuperHypValues:
 
 
 def exp_circulant(n: int, x: float) -> np.ndarray:
-    """exp(x * shift) built spectrally, as a circulant matrix.
+    """exp(x * shift) built spectrally, as a real float64 circulant matrix.
 
     O(n log n) column (one FFT of the eigenvalues exp(x s^k)), O(n^2)
-    dense gather: entry (i, k) is c_{(i-k) mod n}(x).
+    dense gather: entry (i, k) is c_{(i-k) mod n}(x), n^2 * 8 bytes.
+    The matrix is real, so the imaginary part of the filter column must
+    be rounding residue (at most 1e-10 * exp(|x|)); a larger or NaN
+    residue raises ValidationError, and only the real part is gathered.
     """
     n = require_level(n)
     x = require_x(x, 50.0)
-    return circulant(filter_column(n, x))
+    return circulant(_real_column(filter_column(n, x), math.exp(abs(x))))
 
 
 def fundamental_identity_residual(n: int, x: float) -> float:
@@ -225,7 +241,8 @@ def fundamental_identity_residual(n: int, x: float) -> float:
 
     The determinant is the product of exp(x * s^k) over all n-th roots
     of unity s^k, and the exponents sum to zero, so the exact value is 1
-    for every n and x.
+    for every n and x.  It is computed by a real LU (LAPACK) of the
+    dense float64 `exp_circulant`, not from those eigenvalues.
     """
     n = require_level(n)
     x = require_x(x, 10.0)
@@ -284,7 +301,4 @@ def mixed_product_residual(n: int, x: float, y: float) -> np.ndarray:
     cy = _values(n, y, "series")
     roots = roots_of_unity(n)
     rhs = circulant_column(np.exp(x * roots + y * np.conj(roots)))
-    imag = max_abs(rhs.imag)
-    if imag > 1e-10 * math.exp(abs(x) + abs(y)):
-        raise ValidationError(f"filter sum failed to collapse to a real value: imag={imag!r}")
-    return np.abs(cx @ circulant(cy) - rhs.real)
+    return np.abs(cx @ circulant(cy) - _real_column(rhs, math.exp(abs(x) + abs(y))))

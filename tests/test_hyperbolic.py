@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -257,6 +258,45 @@ def test_exp_circulant_first_column_matches_series():
                 assert abs(col[j] - hyperbolic.c_series(n, j, x)) <= 1e-10 * math.exp(abs(x))
 
 
+@pytest.mark.parametrize("n", [2, 3, 256, 2048])
+def test_exp_circulant_is_the_real_part_gathered_bit_for_bit(n):
+    x = 1.7
+    got = hyperbolic.exp_circulant(n, x)
+    assert got.dtype == np.float64
+    assert got.tobytes() == algebra.circulant(hyperbolic.filter_column(n, x).real).tobytes()
+
+
+def test_exp_circulant_peak_memory_is_one_real_plane():
+    n = 2048
+    hyperbolic.exp_circulant(n, 1.0)  # warm numpy's FFT plan cache
+    tracemalloc.start()
+    try:
+        hyperbolic.exp_circulant(n, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= n * n * 8 + 2**20, peak / (n * n * 8)
+
+
+@pytest.mark.parametrize("n", [2, 5, 64])
+@pytest.mark.parametrize("x", [-3.0, 0.0, 2.5])
+def test_fundamental_identity_is_the_real_lu_of_exp_circulant(n, x):
+    want = abs(np.linalg.det(hyperbolic.exp_circulant(n, x)) - 1)
+    assert hyperbolic.fundamental_identity_residual(n, x) == want
+
+
+def _with_imaginary(col, imag):
+    return col.real + 1j * np.full(col.size, imag)
+
+
+@pytest.mark.parametrize("imag", [1.0, np.nan])
+def test_exp_circulant_rejects_a_filter_column_that_is_not_real(monkeypatch, imag):
+    real_filter = hyperbolic.filter_column
+    monkeypatch.setattr(hyperbolic, "filter_column", lambda n, x: _with_imaginary(real_filter(n, x), imag))
+    with pytest.raises(ValidationError, match="collapse to a real value"):
+        hyperbolic.exp_circulant(4, 1.0)
+
+
 def test_fundamental_identity_two_levels():
     for x in (-5.0, -0.7, 1.0, 5.0):
         c0 = hyperbolic.c_series(2, 0, x)
@@ -398,6 +438,14 @@ def test_mixed_relation_at_zero_is_kronecker_delta():
         residuals = hyperbolic.mixed_product_residual(n, 0.0, 0.0)
         assert residuals.shape == (n,)
         assert residuals.max() <= 1e-15
+
+
+@pytest.mark.parametrize("imag", [1.0, np.nan])
+def test_mixed_relation_rejects_a_filter_column_that_is_not_real(monkeypatch, imag):
+    real_column = hyperbolic.circulant_column
+    monkeypatch.setattr(hyperbolic, "circulant_column", lambda eig: _with_imaginary(real_column(eig), imag))
+    with pytest.raises(ValidationError, match="collapse to a real value"):
+        hyperbolic.mixed_product_residual(4, 0.8, 0.3)
 
 
 def test_mixed_relation_four_levels():
