@@ -18,22 +18,28 @@ On the open lattice, interior matrix elements of
 exp((x/2)(w S + (1/w) S^T)) converge (fast, in N) to I_{m-k}(x) w^(m-k);
 convergence_study quantifies that against the Bessel routines.
 
-generating_operator exponentiates the open lattice in real arithmetic.
-Write w = r u with r = |w| and |u| = 1.  Without a wraparound bond the
-diagonal unitary gauge D = diag(u^i) gives D (r S + S^T/r) D^* =
-w S + S^T/w, so exp((x/2)(w S + S^T/w))[m, k] is u^(m-k) times the same
-element of the real exponential exp((x/2)(r S + S^T/r)).  The phase has
-modulus 1, so no power of |w| beyond the one the element itself carries
-enters the rounding.  The cyclic lattice has no such gauge: going once
-around the ring picks up the flux u^(2N+1), which no diagonal gauge
-removes, so cyclic mode keeps the complex exponential (real at real w).
-Either way the argument is written straight into the off-diagonals (and,
-cyclic, the two corners) of one array, without building S, and the open
-gauge phases are applied in place on the one complex result.  Elements
-so far from the diagonal that they lie below the smallest normal double
-come back as 0, not as subnormal numbers (mat_exp's sqrt(tiny) cut).
-Neither route reads a Bessel value, so convergence_study compares two
-independent computations.
+generating_operator exponentiates the open lattice exactly in its
+eigenbasis.  Write w = r u with r = |w| and |u| = 1.  Without a
+wraparound bond the diagonal unitary gauge D = diag(u^i) gives
+D (r S + S^T/r) D^* = w S + S^T/w, so exp((x/2)(w S + S^T/w))[m, k] is
+u^(m-k) times the same element of the real exponential
+exp((x/2)(r S + S^T/r)).  After a second, real diagonal similarity that
+real chain is the symmetric open chain, whose eigenvectors are sine
+modes; the method of images turns the sum over modes into one Toeplitz
+and two Hankel terms, sums of r^e I_e(x) read from one FFT of the
+generating function, with no power of r amplifying their rounding
+(_OpenExponential).  An element then takes O(N log N) work and the
+whole matrix O(N^2), against O(N^3) for a dense exponential, and every
+entry carries an absolute rounding of a few (1 + |m| + |k|) eps
+exp((|x|/2)(r + 1/r)): far from the diagonal that rounding is what comes
+back, not 0.
+
+The cyclic lattice has no such gauge: going once around the ring picks
+up the flux u^(2N+1), which no diagonal gauge removes, so cyclic mode
+exponentiates its complex argument (real at real w) with mat_exp, a
+route independent of genmatrix's FFT.  Neither route reads a Bessel
+value, so convergence_study compares FFT quadrature against bessel_i,
+two independent computations.
 """
 
 from __future__ import annotations
@@ -46,7 +52,7 @@ import numpy as np
 
 from .algebra import mat_exp
 from .bessel import bessel_i
-from .errors import DomainError, require_half_width, require_int, require_x, unit_scale
+from .errors import ARG_MAX, DomainError, require_half_width, require_int, require_x, unit_scale
 
 MODES = ("cyclic", "open")
 X_MAX = 30.0
@@ -137,48 +143,193 @@ def commutator_check(ops: LatticeOperators) -> CommutatorReport:
     )
 
 
+def _tail_order(bound: float) -> int:
+    """Smallest K with |R^e I_e(x)| < eps for every |e| >= K, R >= 1, |x| R <= bound.
+
+    For R >= 1, |x| <= |x| R <= bound, and |I_e(x)| <= (|x|/2)^e / e! *
+    exp(x^2 / (4(e + 1))), so |R^e I_e(x)| <= (bound/2)^e / e! *
+    exp(bound^2 / (4(e + 1))), which decreases once e > bound/2; a
+    negative index only adds a factor R^(-2|e|) <= 1.
+    """
+    def log_bound(e):
+        return e * math.log(bound / 2.0) - math.lgamma(e + 1) + bound * bound / (4 * (e + 1))
+
+    k = math.ceil(bound / 2.0)
+    while log_bound(k) >= math.log(_EPS):
+        k += 1
+    return k
+
+
+# past this order every coefficient R^e I_e(x) in the domain of unit_scale is below eps
+_TAIL_ORDER = _tail_order(ARG_MAX)
+
+
+def _band(vec: np.ndarray, offset: int, row_step: int, col_step: int, n: int) -> np.ndarray:
+    """n x n view of contiguous vec with entry (i, j) = vec[offset + row_step*i + col_step*j]."""
+    step = vec.itemsize
+    return np.ndarray(
+        (n, n), vec.dtype, buffer=vec, offset=offset * step, strides=(row_step * step, col_step * step)
+    )
+
+
+@dataclass(frozen=True)
+class _OpenExponential:
+    """The O(n) vectors that fix exp((x/2)(w S + S^T/w)) on the open lattice, n = 2N+1.
+
+    Label the sites p = m + N + 1 in 1..n, so the walls sit at 0 and
+    L = n + 1, and take R = max(|w|, 1/|w|) >= 1.  The similarity
+    diag(R^p) turns (x/2)(R S + S^T/R) into (x/2)(S + S^T), which the sine
+    modes sin(pi q p / L) diagonalize with eigenvalues x cos(pi q / L),
+    and the method of images sums the resulting kernel in closed form:
+
+        E_R[p, p'] = R^(p-p') sum_j [I_{p-p'+2jL}(x) - I_{p+p'+2jL}(x)],
+
+    with E_R = exp((x/2)(R S + S^T/R)) and, for |w| < 1, E_|w| = E_R^T.
+    Every term is R^a c(b) with a <= 0 and c(e) = R^e I_e(x), so no
+    power of R amplifies the rounding of c: with g(e) = sum_{i>=0}
+    R^(-2iL) c(e + 2iL) for e = 0..2L and v(k) = R^(-2k),
+
+        E_R[p, p'] = t(p - p') - v(p') g(p + p') - v(L - p) g(2L - p - p'),
+        t(d)  = g(d) + v(L - d) g(2L - d),       d = 0..n-1,
+        t(-d) = v(d) g(d) + v(L) g(2L - d),
+
+    a Toeplitz matrix minus two weighted Hankel matrices.  The c(e) are
+    the Fourier coefficients of exp((x/2)(R z + 1/(R z))) on |z| = 1,
+    read from one real FFT of length M, the smallest power of two
+    >= 2(2L + _TAIL_ORDER).  That length is not a tuning knob: c is then
+    exact to rounding at every index below 2L + _TAIL_ORDER, and every
+    coefficient past it, including what the FFT aliases onto the kept
+    ones, is below eps throughout the domain that unit_scale admits.
+    No Bessel value is read.
+
+    Each c(e) carries an absolute rounding of order eps
+    exp((|x|/2)(R + 1/R)), the largest sample of the generating
+    function, and so does each entry of E_R.  The phase u^(m-k) of the
+    diagonal unitary gauge, u = w/|w|, is exp(i phase(w) (m - k)) from
+    one vector over m - k; its rounding adds about |m - k| eps to the
+    relative error of the element it multiplies.
+    """
+
+    n: int
+    transposed: bool  # |w| < 1, so the matrix is E_R^T
+    toeplitz: np.ndarray  # t(d) at index d + n - 1
+    images: np.ndarray  # g(e) at index e = 0..2L
+    weights: np.ndarray  # v(k) = R^(-2k) at index k = 0..L
+    cos: np.ndarray  # Re u^d at index d + n - 1
+    sin: np.ndarray  # Im u^d at index d + n - 1
+
+    @classmethod
+    def build(cls, N: int, x: float, w: complex) -> "_OpenExponential":
+        """The vectors for validated N, x and w (O(n log n) time, O(n) memory)."""
+        n = 2 * N + 1
+        L = n + 1
+        r = abs(w)
+        R = 1.0 / r if r < 1.0 else r
+        half = 1 << (2 * L + _TAIL_ORDER - 1).bit_length()  # M / 2
+        # samples of conj(exp((x/2)(R z + 1/(R z)))) at z = exp(2 pi i k / M), k = 0..M/2;
+        # the inverse real FFT of the conjugate gives the (real) Fourier coefficients c
+        theta = np.arange(half + 1) * (math.pi / half)
+        samples = np.empty(half + 1, dtype=complex)
+        np.multiply(np.cos(theta), (x / 2.0) * (R + 1.0 / R), out=samples.real)
+        np.multiply(np.sin(theta), (x / 2.0) * (1.0 / R - R), out=samples.imag)
+        del theta
+        np.exp(samples, out=samples)
+        coeffs = np.fft.irfft(samples, 2 * half)[:half]
+        del samples
+        images = np.zeros(2 * L + 1)
+        for start in range(0, half, 2 * L):
+            fold = coeffs[start : start + 2 * L + 1]
+            images[: fold.size] += R ** -start * fold
+        del coeffs
+        weights = R ** (-2.0 * np.arange(L + 1))
+        # t(d) and t(-d) for d = 0..n-1, from the slices g[0..n-1], g[2L..L+2] and v[L..2]
+        near, far, far_weight = images[:n], images[2 * L : L + 1 : -1], weights[L:1:-1]
+        toeplitz = np.concatenate(
+            ((weights[:n] * near + weights[L] * far)[:0:-1], near + far_weight * far)
+        )
+        angle = cmath.phase(w) * np.arange(1 - n, n)
+        return cls(n, r < 1.0, toeplitz, images, weights, np.cos(angle), np.sin(angle))
+
+    def element(self, m: int, k: int) -> complex:
+        """Entry (m, k), labels -N..N: the same operations as matrix() makes at that entry."""
+        n = self.n
+        L = n + 1
+        d = m - k + n - 1
+        p, q = m + L // 2, k + L // 2  # sites: L // 2 = N + 1
+        if self.transposed:
+            p, q = q, p
+        t, g, v = self.toeplitz, self.images, self.weights
+        value = t[p - q + n - 1] - v[q] * g[p + q] - v[L - p] * g[2 * L - p - q]
+        return complex(value * self.cos[d], value * self.sin[d])
+
+    def matrix(self) -> np.ndarray:
+        """The whole complex128 matrix: peak memory 3 n^2 float64 planes plus O(n).
+
+        One plane holds the real E; the complex result (two planes) is
+        the scratch for the two weighted Hankel terms before the phases
+        are written into it.
+        """
+        n = self.n
+        L = n + 1
+        sign = -1 if self.transposed else 1
+        real = _band(self.toeplitz, n - 1, sign, -sign, n).copy()
+        result = np.empty((n, n), dtype=complex)
+        scratch = result.reshape(-1).view(np.float64)[: n * n].reshape(n, n)
+        near = self.weights[1 : n + 1]  # v(p'), or v(p) for E_R^T
+        far = near[::-1]  # v(L - p), or v(L - p') for E_R^T
+        near, far = (near[:, None], far) if self.transposed else (near, far[:, None])
+        real -= np.multiply(_band(self.images, 2, 1, 1, n), near, out=scratch)
+        real -= np.multiply(_band(self.images, 2 * L - 2, -1, -1, n), far, out=scratch)
+        np.multiply(real, _band(self.cos, n - 1, 1, -1, n), out=result.real)
+        np.multiply(real, _band(self.sin, n - 1, 1, -1, n), out=result.imag)
+        return result
+
+
 def generating_operator(ops: LatticeOperators, x: float, w: complex = 1.0) -> np.ndarray:
     """exp((x/2)(w S + (1/w) S^T)) on the truncated lattice; |x| <= X_MAX, w as in unit_scale.
 
-    The argument is written straight into one array: (x/2) times the
-    weight of S on the subdiagonal, (x/2) times that of S^T on the
-    superdiagonal, and in cyclic mode the two wraparound corners.  Open
-    mode exponentiates the real matrix (x/2)(|w| S + S^T/|w|) and puts
-    the phase u^(m-k), u = w/|w|, on element (m, k) of the one complex
-    result, in place (the gauge argument in the module docstring).
-    Cyclic mode exponentiates (x/2)(w S + S^T/w), in float64 when w is
-    real.  Either way the result is complex128.
+    Open mode is exact in the sine basis of the open chain: a Toeplitz
+    matrix minus two weighted Hankel matrices, all gathered from O(n)
+    vectors built by one FFT, times the gauge phases u^(m-k)
+    (_OpenExponential).  It takes O(n log n + n^2) time and at most
+    three n^2 float64 planes (the result is two of them).  Every entry
+    is within a few (1 + |m| + |k|) eps exp((|x|/2)(|w| + 1/|w|)) of
+    the exact value; far from the diagonal that rounding, not 0, is what
+    comes back.
+
+    Cyclic mode writes (x/2)(w S + S^T/w) into one array (the weight of
+    S on the subdiagonal and the lower-left corner, that of S^T on the
+    superdiagonal and the upper-right corner) and exponentiates it with
+    mat_exp, in float64 when w is real.  Either way the result is
+    complex128.
     """
     x = require_x(x, X_MAX)
     unit_scale(x, w)
     w = complex(w)
     if ops.mode == "open":
-        w_arg = abs(w)
-    elif w.imag:
-        w_arg = np.complex128(w)  # 1/w then rounds as numpy's array division S^T / w does
-    else:
-        w_arg = w.real
+        return _OpenExponential.build(ops.N, x, w).matrix()
+    # 1/w rounds as numpy's array division S^T / w does
+    w_arg = np.complex128(w) if w.imag else w.real
     up, down = (x / 2.0) * w_arg, (x / 2.0) * (1.0 / w_arg)
     arg = np.zeros((ops.dim, ops.dim), dtype=type(w_arg))
     flat = arg.reshape(-1)
     flat[ops.dim :: ops.dim + 1] = up  # S: (i + 1, i)
     flat[1 :: ops.dim + 1] = down  # S^T: (i, i + 1)
-    if ops.mode == "cyclic":
-        arg[0, -1], arg[-1, 0] = up, down  # the wraparound bond
-        return mat_exp(arg).astype(complex, copy=False)
-    # u^m for m = -N..N, so the phases of central elements carry the least rounding
-    gauge = np.exp(1j * cmath.phase(w) * np.arange(-ops.N, ops.N + 1))
-    result = np.multiply(gauge[:, None], mat_exp(arg))
-    result *= gauge.conj()
-    return result
+    arg[0, -1], arg[-1, 0] = up, down  # the wraparound bond
+    return mat_exp(arg).astype(complex, copy=False)
 
 
 def generating_operator_element(N: int, x: float, w: complex, m: int, k: int) -> complex:
-    """<m| exp((x/2)(w S + (1/w) S^T)) |k> on the open lattice."""
+    """<m| exp((x/2)(w S + (1/w) S^T)) |k> on the open lattice.
+
+    Bit for bit entry (m + N, k + N) of generating_operator on the open
+    lattice, from the same O(N) vectors without the (2N+1)^2 matrix.
+    """
     N = require_half_width(N)
     m, k = require_int(m, "row m", -N, N), require_int(k, "column k", -N, N)
-    ops = build_lattice(N, mode="open")
-    return complex(generating_operator(ops, x, w)[m + N, k + N])
+    x = require_x(x, X_MAX)
+    unit_scale(x, w)
+    return _OpenExponential.build(N, x, complex(w)).element(m, k)
 
 
 @dataclass(frozen=True)
@@ -219,8 +370,7 @@ def convergence_study(N_list, x: float, w: complex, order: int) -> list[Converge
     reference = bessel_i(order, x) * w ** order
     points = []
     for N in N_list:
-        ops = build_lattice(N, mode="open")
-        element = generating_operator(ops, x, w)[m0 + N, k0 + N]
+        element = _OpenExponential.build(N, x, w).element(m0, k0)
         raw = float(abs(element - reference))
         distance = N - max(abs(m0), abs(k0))
         points.append(

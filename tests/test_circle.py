@@ -1,3 +1,10 @@
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
+import mpmath
 import numpy as np
 import pytest
 
@@ -211,3 +218,123 @@ def test_open_lattice_real_route_is_the_complex_exponential(N):
             floor = circle.RESOLUTION_EPS_FACTOR * eps * np.exp(scale)
             assert got.dtype == np.complex128
             assert np.abs(got - want).max() <= floor, (N, x, w)
+
+
+@pytest.mark.parametrize(
+    "N, x, w",
+    [
+        (1, 4.0, 2.0),
+        (5, -7.0, 0.8 * np.exp(1j * np.pi / 5)),
+        (5, 4.0, -1.0),
+        (40, 20.0, np.exp(1.234j)),
+        (200, -7.0, 1.0 / 3.0),
+        (200, 20.0, 2.0),
+    ],
+)
+def test_element_is_the_matrix_entry_bit_for_bit(N, x, w):
+    matrix = circle.generating_operator(circle.build_lattice(N, mode="open"), x, w)
+    labels = (-N, -N // 2, -1, 0, 1, N // 2, N)
+    for m in labels:
+        for k in labels:
+            got = np.complex128(circle.generating_operator_element(N, x, w, m, k))
+            assert got.tobytes() == matrix[m + N, k + N].tobytes(), (m, k)
+
+
+def test_element_allocates_no_matrix_at_the_size_cap():
+    # a (2N+1)^2 complex matrix at N = 2047 would be 128 MiB
+    circle.generating_operator_element(2047, 20.0, 0.8, 3, -2)  # warm numpy's FFT plan cache
+    tracemalloc.start()
+    try:
+        value = circle.generating_operator_element(2047, 20.0, 0.8, 3, -2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
+    assert abs(value - bessel.bessel_i(5, 20.0) * 0.8 ** 5) <= 1e-6
+
+
+def test_open_operator_peak_memory():
+    # the docstring's bound: three n^2 float64 planes (the complex result
+    # is two of them) plus O(n) vectors
+    N = 1000
+    plane = (2 * N + 1) ** 2 * 8
+    ops = circle.build_lattice(N, mode="open")
+    for w in (2.0, 0.8 * np.exp(1j * np.pi / 5)):
+        tracemalloc.start()
+        try:
+            circle.generating_operator(ops, 20.0, w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * plane + 2**20, peak / plane
+
+
+def _image_sum(N, x, w, m, k, cache):
+    # w^(m-k) sum_j [I_{m-k+2jL}(x) - I_{m+k+L+2jL}(x)], L = 2N+2, at 40 digits;
+    # orders past 400 are below 1e-300 at |x| <= 20 and are left out
+    L = 2 * N + 2
+
+    def bessel(order):
+        order = abs(order)
+        if order not in cache:
+            cache[order] = mpmath.besseli(order, x, zeroprec=4000)
+        return cache[order]
+
+    total = mpmath.mpf(0)
+    for j in range(-3, 4):
+        for order, sign in ((m - k + 2 * j * L, 1), (m + k + L + 2 * j * L, -1)):
+            if abs(order) <= 400:
+                total += sign * bessel(order)
+    return mpmath.mpc(w) ** (m - k) * total
+
+
+@pytest.mark.parametrize("N", [5, 200])
+def test_open_operator_meets_its_error_model(N):
+    # every sampled entry is within (C + |m| + |k|) eps exp((|x|/2)(|w| + 1/|w|))
+    # of the image sum: C from the FFT rounding, |m| + |k| from the gauge phases
+    C = 4.0
+    eps = np.finfo(float).eps
+    ops = circle.build_lattice(N, mode="open")
+    h = N // 2
+    entries = [(0, 0), (1, 0), (0, 3), (N, 0), (0, -N), (h, -h), (-h, h),
+               (N, N), (N, -N), (-N, N), (-N, -N)]
+    mpmath.mp.dps = 40
+    try:
+        for x in (-7.0, 4.0, 20.0):
+            cache = {}
+            for w in (1.0, -1.0, np.exp(1.234j), 2.0, 1.0 / 3.0, 0.8 * np.exp(1j * np.pi / 5)):
+                r = abs(w)
+                if abs(x) * max(r, 1.0 / r) > ARG_MAX:
+                    continue
+                matrix = circle.generating_operator(ops, x, w)
+                unit = eps * np.exp(abs(x) / 2.0 * (r + 1.0 / r))
+                for m, k in entries:
+                    want = _image_sum(N, x, w, m, k, cache)
+                    err = float(abs(mpmath.mpc(matrix[m + N, k + N]) - want))
+                    assert err <= (C + abs(m) + abs(k)) * unit, (x, w, m, k, err / unit)
+    finally:
+        mpmath.mp.dps = 15
+
+
+def test_convergence_script_runs_the_readme_example():
+    script = Path(__file__).resolve().parents[1] / "scripts" / "circle_convergence.py"
+    env = dict(os.environ, PYTHONPATH=str(Path(circle.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, str(script), "--x", "6.0", "--N", "8,12,16,24", "--orders", "0,1,3"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "order,N,error,resolved,boundary_limited"
+    rows = [line.split(",") for line in lines[1:]]
+    assert len(rows) == 12
+    for _, N, _, resolved, _ in rows:
+        assert (float(resolved) > 0.0) == (N == "8"), (N, resolved)
+    flags = {}
+    for order, _, _, _, flag in rows:
+        flags.setdefault(order, []).append(flag)
+    assert flags == {
+        "0": ["True", "False", "False", "False"],
+        "1": ["True", "True", "False", "False"],
+        "3": ["True", "True", "True", "False"],
+    }
