@@ -16,11 +16,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import MAX_ORDER, require_order, require_tol, require_x, unit_scale
+from .errors import MAX_ORDER, require_order, require_x, unit_scale
 
 X_MAX = 700.0
 _SERIES_X_MAX = 20.0
 _SERIES_ORDER_MAX = 30
+# relative stopping tolerance of bessel_i's ascending series
+_SERIES_TOL = 1e-14
 _RESCALE_BITS = 830
 _RESCALE_LIMIT = 2.0 ** _RESCALE_BITS  # about 7.5e249
 # below this the per-step factor 2m/x could overflow between rescales
@@ -137,7 +139,7 @@ def bessel_table(kmax: int, x: float) -> BesselTable:
     return BesselTable(x=x, kmax=kmax, values=values, norm_residual=norm_residual)
 
 
-def bessel_i(k: int, x: float, tol: float = 1e-14) -> float:
+def bessel_i(k: int, x: float) -> float:
     """Modified Bessel function of the first kind, integer order.
 
     Parameters
@@ -146,8 +148,6 @@ def bessel_i(k: int, x: float, tol: float = 1e-14) -> float:
         Order, any sign (I_{-k} = I_k).
     x : float
         Argument, |x| <= 700.
-    tol : float
-        Relative stopping tolerance for the ascending series.
 
     Returns
     -------
@@ -156,17 +156,17 @@ def bessel_i(k: int, x: float, tol: float = 1e-14) -> float:
     Notes
     -----
     The ascending series is used for |x| <= 20 or |k| <= 30, where it is
-    both stable (all terms positive) and short; larger cases go through
-    the normalized backward recurrence.
+    both stable (all terms positive) and short, and stops at relative
+    tolerance _SERIES_TOL; larger cases go through the normalized
+    backward recurrence.
     """
     k = abs(require_order(k, -MAX_ORDER))
     x = require_x(x, X_MAX)
-    tol = require_tol(tol)
     ax = abs(x)
     if ax == 0.0:
         return 1.0 if k == 0 else 0.0
     if ax <= _SERIES_X_MAX or k <= _SERIES_ORDER_MAX:
-        value = _series_i(k, ax, tol)
+        value = _series_i(k, ax, _SERIES_TOL)
     else:
         value = float(_miller_values(k, ax)[k])
     if value == 0.0:
@@ -230,10 +230,26 @@ def generating_function_residual(x: float, w: complex, K: int) -> float:
     unit_scale(x, w)
     x, w = float(x), complex(w)
     K = require_order(K)
-    v = bessel_table(K, x).values
-    K = int(np.flatnonzero(v)[-1])  # orders past the underflow add nothing (see unit_scale)
-    total = complex(v[0])
-    for k in range(1, K + 1):
-        total += v[k] * (w ** k + w ** (-k))
+    total = _comb_sum(bessel_table(K, x).values, 1, w, 0, K)
     lhs = np.exp((x / 2.0) * (w + 1.0 / w))
     return abs(lhs - total)
+
+
+def _comb_sum(values, n: int, w: complex, j: int, K: int) -> complex:
+    """sum over k of values[|n*k-j|] w^(n*k-j) for |n*k-j| <= K, with values a Bessel table.
+
+    The bilateral Bessel sum behind `generating_function_residual` (n=1,
+    j=0) and `genmatrix.bessel_comb_series`.  Orders past the table's
+    last nonzero value add nothing (see unit_scale), so the sum stops
+    there even when K is larger.  The loop runs on Python scalars
+    (`item`): the same IEEE products as numpy scalars, at a fraction of
+    the cost.
+    """
+    K = min(K, int(np.flatnonzero(values)[-1]))
+    k_lo = math.ceil((-K + j) / n)
+    k_hi = math.floor((K + j) / n)
+    total = 0j
+    for k in range(k_lo, k_hi + 1):
+        m = n * k - j
+        total += values.item(abs(m)) * w ** m
+    return total

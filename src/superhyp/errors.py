@@ -81,14 +81,6 @@ def require_x(x, bound: float) -> float:
     return value
 
 
-def require_tol(tol) -> float:
-    """A stopping tolerance in (0, 1e-6]."""
-    value = _real(tol)
-    if not 0.0 < value <= 1e-6:
-        raise DomainError(f"invalid-tolerance: need 0 < tol <= 1e-6, got {_short(tol)}")
-    return value
-
-
 def unit_scale(x, w) -> float:
     """|x| * max(|w|, 1/|w|), the working magnitude of the generating function sums.
 

@@ -23,7 +23,7 @@ import numpy as np
 from dataclasses import dataclass
 
 from .algebra import circulant, circulant_column, roots_of_unity
-from .bessel import bessel_table
+from .bessel import _comb_sum, bessel_table
 from .errors import require_index, require_level, require_order, unit_scale
 
 
@@ -126,19 +126,3 @@ def bessel_comb_column(n: int, x: float, w: complex) -> np.ndarray:
     K = [default_comb_truncation(n, x, w, j) for j in range(n)]
     values = bessel_table(max(K), x).values
     return np.array([_comb_sum(values, n, w, j, K[j]) for j in range(n)])
-
-
-def _comb_sum(values, n: int, w: complex, j: int, K: int) -> complex:
-    """sum over k of values[|n*k-j|] w^(n*k-j) for |n*k-j| <= K, with values a Bessel table.
-
-    Orders past the table's last nonzero value add nothing (see
-    unit_scale), so the sum stops there even when K is larger.
-    """
-    K = min(K, int(np.flatnonzero(values)[-1]))
-    k_lo = math.ceil((-K + j) / n)
-    k_hi = math.floor((K + j) / n)
-    total = 0j
-    for k in range(k_lo, k_hi + 1):
-        m = n * k - j
-        total += values[abs(m)] * w ** m
-    return total

@@ -18,7 +18,6 @@ from superhyp.errors import (
     require_int,
     require_level,
     require_order,
-    require_tol,
     require_x,
     unit_scale,
 )
@@ -58,16 +57,12 @@ def test_integer_checks_return_int_or_raise_domain_error(value):
 @settings(max_examples=300, deadline=None)
 @given(ANY_VALUE)
 def test_real_checks_return_float_or_raise_domain_error(value):
-    for check, ok in (
-        (lambda v: require_x(v, 700.0), lambda r: abs(r) <= 700.0),
-        (require_tol, lambda r: 0.0 < r <= 1e-6),
-    ):
-        try:
-            result = check(value)
-        except DomainError:
-            continue
-        assert type(result) is float and ok(result)
-        assert not isinstance(value, bool)
+    try:
+        result = require_x(value, 700.0)
+    except DomainError:
+        return
+    assert type(result) is float and abs(result) <= 700.0
+    assert not isinstance(value, bool)
 
 
 @settings(max_examples=300, deadline=None)
