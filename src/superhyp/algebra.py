@@ -49,17 +49,19 @@ def circulant_column(eig) -> np.ndarray:
     """First column of the circulant whose eigenvalue on the k-th Fourier mode is eig[k].
 
     Entry m is (1/n) sum_k s^(-m*k) eig[k], every m at once by one FFT
-    (O(n log n)).  Because the DFT diagonalizes every circulant, this is
-    the single kernel behind exp(x * shift), the roots-of-unity filter and
-    the generating-matrix classes.
+    (O(n log n)); a stack of eigenvalue rows gives a stack of columns, by
+    one FFT along the last axis.  Because the DFT diagonalizes every
+    circulant, this is the single kernel behind exp(x * shift), the
+    roots-of-unity filter and the generating-matrix classes.
     """
     eig = np.asarray(eig, dtype=complex)
-    return np.fft.fft(eig) / eig.size
+    return np.fft.fft(eig) / eig.shape[-1]
 
 
 def circulant(col) -> np.ndarray:
     """Dense circulant with first column col: entry (i, k) is col[(i - k) mod n].
 
+    A stack of columns (..., n) gives the stack of circulants (..., n, n).
     Entry (i, k) is element n - 1 - i + k of rev = (col reversed, then
     col[n-1], ..., col[1]), so row i is the forward slice
     rev[n-1-i : 2n-1-i] and the matrix is a view of rev with strides
@@ -70,10 +72,16 @@ def circulant(col) -> np.ndarray:
     copy takes the same time either way.
     """
     col = np.asarray(col)
-    n = col.size
-    rev = np.concatenate((col[::-1], col[:0:-1]))
+    n = col.shape[-1]
+    rev = np.concatenate((col[..., ::-1], col[..., :0:-1]), axis=-1)
     step = rev.itemsize
-    view = np.ndarray((n, n), rev.dtype, buffer=rev, offset=(n - 1) * step, strides=(-step, step))
+    view = np.ndarray(
+        (*col.shape[:-1], n, n),
+        rev.dtype,
+        buffer=rev,
+        offset=(n - 1) * step,
+        strides=(*rev.strides[:-1], -step, step),
+    )
     return view.copy()
 
 

@@ -150,15 +150,15 @@ def cmd_eval(args) -> int:
     records = []
     if args.target == "superhyp":
         for n in args.n:
-            for x in args.x:
-                values = hyperbolic.c_all(n, x, args.method)
-                records.append(
-                    {
-                        "op": "superhyp",
-                        "params": {"n": n, "x": x, "method": args.method},
-                        "values": [float(v) for v in values.values],
-                    }
-                )
+            values = hyperbolic.c_all(n, args.x, args.method).values
+            records.extend(
+                {
+                    "op": "superhyp",
+                    "params": {"n": n, "x": x, "method": args.method},
+                    "values": row,
+                }
+                for x, row in zip(args.x, values.tolist())
+            )
     elif args.target == "bessel":
         for x in args.x:
             table = bessel.bessel_table(args.kmax, x)
@@ -245,11 +245,9 @@ def cmd_bench(args) -> int:
 def _rows_superhyp(args) -> tuple[list[str], list[list]]:
     n = _one(args, "n", "table superhyp")
     header = ["x"] + [f"c{j}" for j in range(n)]
-    rows = []
-    for x in sorted(args.x):
-        values = hyperbolic.c_all(n, x, args.method)
-        rows.append([x] + [float(v) for v in values.values])
-    return header, rows
+    xs = sorted(args.x)
+    values = hyperbolic.c_all(n, xs, args.method).values
+    return header, [[x] + row for x, row in zip(xs, values.tolist())]
 
 
 def _rows_identity(args) -> tuple[list[str], list[list]]:

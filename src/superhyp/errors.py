@@ -10,6 +10,8 @@ Messages echo the offending value through reprlib, abbreviated when long.
 import math
 from reprlib import repr as _short
 
+import numpy as np
+
 # Largest level count n: a dense complex128 n x n matrix is then at most
 # 256 MiB.  Also bounds the lattice dimension 2N+1.
 MAX_LEVEL = 4096
@@ -17,6 +19,9 @@ MAX_LEVEL = 4096
 MAX_ORDER = 100_000
 # Most points in one CLI grid; a range's count is checked before its list is built.
 MAX_GRID_POINTS = 10_000
+# Most entries per row times rows that a call over a 1-D array of x may
+# request: the largest CLI grid at the largest level.
+MAX_BATCH = MAX_GRID_POINTS * MAX_LEVEL
 # Bound on max(|w|, 1/|w|) and on |x| * max(|w|, 1/|w|) for the generating
 # function exp((x/2)(w + 1/w)) and its matrix and lattice forms.
 ARG_MAX = 50.0
@@ -79,6 +84,32 @@ def require_x(x, bound: float) -> float:
     if not abs(value) <= bound:
         raise DomainError(f"overflow-domain: need |x| <= {bound}, got {_short(x)}")
     return value
+
+
+def require_xs(x, bound: float, width: int = 1):
+    """`x` through require_x, or a 1-D array of such values as a float64 array.
+
+    An array must hold numbers (bools excluded), and its length times
+    `width`, the entries the caller computes per point, must be at most
+    MAX_BATCH.  Any other input raises DomainError; an array with a value
+    outside the range names its first such value, as require_x would.
+    """
+    try:
+        array = np.asarray(x)
+    except (TypeError, ValueError):  # e.g. a ragged list
+        array = None
+    if array is not None and array.ndim == 0:
+        return require_x(x, bound)
+    if array is None or array.ndim != 1 or array.dtype.kind not in "iuf" or array.size * width > MAX_BATCH:
+        raise DomainError(
+            f"invalid-grid: need x a number or a 1-D array of at most {MAX_BATCH // width} numbers,"
+            f" got {_short(x)}"
+        )
+    values = array.astype(float)
+    outside = ~(np.abs(values) <= bound)
+    if outside.any():
+        require_x(array[outside.argmax()].item(), bound)
+    return values
 
 
 def unit_scale(x, w) -> float:

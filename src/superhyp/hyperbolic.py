@@ -24,6 +24,16 @@ column (mixed).  The identity check factors the dense matrix rather than
 multiplying its eigenvalues, whose product is 1 by construction.  Tests
 also compare `exp_circulant` with the dense `algebra.mat_exp`.
 
+The series, filter and residual functions (`series_column`,
+`filter_column`, `c_all`, `polynomial_identity_residual`,
+`addition_residual`, `mixed_product_residual`) take x (and y) as a float
+or as a 1-D array of T points.  A float gives the per-point shape, an
+array one row per point, and row t is bit for bit the call at point t:
+the rows share one series pass, one FFT and one stack of circulants,
+so a grid costs one call instead of T.  The series pass works on
+block_rows(n) rows at a time (BLOCK entries); an array whose points
+times the entries each needs exceeds errors.MAX_BATCH is a DomainError.
+
 Error model: for x >= 0 every series term is nonnegative and the sums
 are accurate to relative machine precision.  For x < 0 the partial sums
 reach exp(|x|) scale before cancelling, so absolute accuracy degrades
@@ -38,10 +48,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import circulant, circulant_column, determinant, max_abs, roots_of_unity
-from .errors import DomainError, ValidationError, require_index, require_level, require_x
+from .algebra import circulant, circulant_column, determinant, roots_of_unity
+from .errors import DomainError, ValidationError, require_index, require_level, require_x, require_xs
 
 X_MAX = 700.0
+# entries a batched kernel's working arrays hold per block of rows (block_rows)
+BLOCK = 2**16
 # relative stopping tolerance of each class sum in series_column
 _SERIES_TOL = 1e-14
 _TINY = np.finfo(float).tiny
@@ -77,57 +89,80 @@ POLY_IDENTITY_MONOMIALS = {
 }
 
 
-def series_column(n: int, x: float) -> np.ndarray:
+def block_rows(width: int) -> int:
+    """Rows of `width` entries a batched kernel takes at once: BLOCK // width, at least one."""
+    return max(1, BLOCK // width)
+
+
+def _rows_like(x, rows: np.ndarray) -> np.ndarray:
+    # row 0 for a scalar x, all rows for a 1-D x
+    return rows[0] if np.ndim(x) == 0 else rows
+
+
+def series_column(n: int, x) -> np.ndarray:
     """All n residue classes of the exponential series at x, from one pass over its terms.
 
-    Term m = x^m/m! comes from the ratio t_m = t_{m-1} * x/m, never from a
-    standalone factorial, and goes to class m mod n.  Each class keeps its
-    own Kahan-compensated sum and stops once its next term falls below
-    _SERIES_TOL * (|sum| + tiny) and the term index has passed |x|
-    (before that the terms may still be growing).  This is the FFT-free
+    x is a float, giving shape (n,), or a 1-D array of T floats, giving
+    (T, n) whose row t is bit for bit the call at x[t].  Term m = x^m/m!
+    comes from the ratio t_m = t_{m-1} * x/m, never from a standalone
+    factorial, and goes to class m mod n.  Each step of the pass takes the
+    next period of n terms for every x at once: np.multiply.accumulate
+    over the ratios x/m, seeded with the last term of the previous period,
+    which is the same sequence of products as a scalar loop.  Each class
+    keeps its own Kahan-compensated sum and stops once its next term falls
+    below _SERIES_TOL * (|sum| + tiny) and the term index has passed |x|
+    (before that the terms may still be growing); the update and the stop
+    rule run masked per (x, class), and the pass ends when no class is
+    live.  A term that underflows needs no special step: every later term
+    is a signed zero, which meets the stop rule at its class's next
+    update.  The x are taken block_rows(n) at a time, so the working
+    arrays beyond the result hold O(BLOCK) entries.  This is the FFT-free
     reference for filter_column.
     """
     n = require_level(n)
-    x = require_x(x, X_MAX)
-    total = [1.0]
-    comp = [0.0] * n
-    live = [True] * n
-    left = n
-    term = 1.0
-    m = 0
-    while term != 0.0:
-        m += 1
-        term *= x / m
-        j = m % n
-        if m < n:
-            total.append(term)
-        elif live[j]:
-            y = term - comp[j]
-            t = total[j] + y
-            comp[j] = (t - total[j]) - y
-            total[j] = t
-            if abs(term) <= _SERIES_TOL * (abs(t) + _TINY) and m >= abs(x):
-                live[j] = False
-                left -= 1
-                if not left:
-                    return np.array(total)
-    # Term m underflowed to zero, and so does every later term, its sign
-    # flipping at each step when x is negative.  Each live class adds its
-    # next term, a zero that meets its stop rule; a class past m first
-    # takes a zero leading term.  So the rest of the pass is one vector step.
-    flips = math.copysign(1.0, x) < 0
+    x = require_xs(x, X_MAX, n)
+    rows = np.atleast_1d(x)
+    out = np.empty((rows.size, n))
+    step = block_rows(n)
+    for start in range(0, rows.size, step):
+        _series_block(rows[start : start + step, None], out[start : start + step])
+    return _rows_like(x, out)
 
-    def zero_at(steps):
-        return np.where(flips & (steps % 2 == 1), -term, term)
 
-    seen = len(total)  # classes 0..seen-1 already hold their leading term
-    steps = (np.arange(n) - m - 1) % n + 1  # from term m to each class's next term
-    out = np.empty(n)
-    out[seen:] = zero_at(steps[seen:]) + zero_at(steps[seen:] + n)  # leading zero plus one
-    live = np.array(live[:seen])
-    out[:seen] = total
-    out[:seen][live] += zero_at(steps[:seen][live]) - np.array(comp[:seen])[live]
-    return out
+def _series_block(x: np.ndarray, total: np.ndarray) -> None:
+    # the pass of series_column for x of shape (rows, 1), written into total (rows, n)
+    n = total.shape[1]
+    m = np.arange(n, dtype=float)  # term indices of the current period
+    terms = np.empty_like(total)
+    terms[:, 0] = 1.0
+    np.divide(x, m[1:], out=terms[:, 1:])
+    np.multiply.accumulate(terms, axis=1, out=terms)
+    total[...] = terms  # period 0: the leading term of each class
+    comp = np.zeros_like(total)
+    live = np.ones(total.shape, dtype=bool)
+    ratios, y, s, c = (np.empty_like(total) for _ in range(4))
+    stop = np.empty_like(live)
+    absx = np.abs(x)
+    growing = float(absx.max())
+    while live.any():
+        m += n
+        np.divide(x, m, out=ratios)
+        ratios[:, 0] *= terms[:, -1]
+        np.multiply.accumulate(ratios, axis=1, out=terms)
+        np.subtract(terms, comp, out=y)
+        np.add(total, y, out=s)
+        np.subtract(s, total, out=c)
+        np.subtract(c, y, out=c)
+        np.copyto(total, s, where=live)
+        np.copyto(comp, c, where=live)
+        np.abs(s, out=s)
+        s += _TINY
+        s *= _SERIES_TOL
+        np.abs(terms, out=y)
+        np.less_equal(y, s, out=stop)
+        if m[0] < growing:
+            stop &= m >= absx
+        live &= ~stop
 
 
 def c_series(n: int, j: int, x: float) -> float:
@@ -136,13 +171,16 @@ def c_series(n: int, j: int, x: float) -> float:
     return float(series_column(n, x)[j])
 
 
-def filter_column(n: int, x: float) -> np.ndarray:
+def filter_column(n: int, x) -> np.ndarray:
     """Raw filter sums (1/n) sum_k s^(-j*k) exp(s^k x) for every class j, by one FFT.
 
     This is the first column of exp(x * shift).  The imaginary parts are
     pure rounding residue and should stay below about 1e-10 * exp(|x|).
+    A 1-D x gives one row per x, all from one FFT along the rows.
     """
-    return circulant_column(np.exp(require_x(x, X_MAX) * roots_of_unity(n)))
+    n = require_level(n)
+    x = require_xs(x, X_MAX, n)
+    return circulant_column(np.exp(np.multiply.outer(x, roots_of_unity(n))))
 
 
 def c_filter_complex(n: int, j: int, x: float) -> complex:
@@ -154,16 +192,18 @@ def c_filter_complex(n: int, j: int, x: float) -> complex:
     return complex(filter_column(n, x)[j])
 
 
-def _real_column(col: np.ndarray, scale: float) -> np.ndarray:
-    """The real part of a filter column whose exact value is real.
+def _real_column(col: np.ndarray, scale) -> np.ndarray:
+    """The real part of a filter column, or rows of them, whose exact value is real.
 
-    The imaginary part must be rounding residue, at most 1e-10 * scale
-    (scale is exp of the summed |arguments|); a larger or NaN residue
-    raises ValidationError.
+    The imaginary part of each row must be rounding residue, at most
+    1e-10 * scale (scale is exp of the summed |arguments|, one per row); a
+    larger or NaN residue raises ValidationError.
     """
-    imag = max_abs(col.imag)
-    if not imag <= 1e-10 * scale:
-        raise ValidationError(f"filter sum failed to collapse to a real value: imag={imag!r}")
+    imag = np.abs(col.imag).max(axis=-1)
+    bad = ~(imag <= 1e-10 * scale)
+    if bad.any():
+        worst = float(np.max(imag, where=bad, initial=-np.inf))
+        raise ValidationError(f"filter sum failed to collapse to a real value: imag={worst!r}")
     return col.real
 
 
@@ -176,18 +216,19 @@ class SuperHypValues:
     """
 
     n: int
-    x: float
+    x: float | np.ndarray
     values: np.ndarray
     method: str
 
 
-def c_all(n: int, x: float, method: str = "series") -> SuperHypValues:
+def c_all(n: int, x, method: str = "series") -> SuperHypValues:
     """All n residue-class values at x by one route: series_column or the real filter_column.
 
-    The values are returned as computed; no invariant is checked here.
+    A 1-D x gives values of shape (T, n), one row per x.  The values are
+    returned as computed; no invariant is checked here.
     """
     n = require_level(n)
-    x = require_x(x, X_MAX)
+    x = require_xs(x, X_MAX, n)
     if method == "series":
         values = series_column(n, x)
     elif method == "filter":
@@ -224,56 +265,76 @@ def fundamental_identity_residual(n: int, x: float) -> float:
     return abs(determinant(exp_circulant(n, x)) - 1.0)
 
 
-def polynomial_identity_residual(n: int, x: float) -> float:
-    """|P_n(c_0..c_{n-1}) - 1| for the explicitly expanded identities.
+def polynomial_identity(n: int, values) -> np.ndarray:
+    """P_n(c_0..c_{n-1}), the printed determinant polynomial, for n in {2, 3, 4}.
 
-    Available for n in {2, 3, 4}; the component values come from the
-    series route.  This is the same quantity as the determinant residual
-    computed through the printed polynomial instead of an LU sweep.
+    values holds the classes, shape (n,) or one row per point (T, n).
+    Each power is Python's float ** int, value by value: numpy's
+    vectorised power can differ from it in the last bit.
     """
     if n not in POLY_IDENTITY_MONOMIALS:
         raise DomainError(
             f"invalid-level: expanded polynomial known for n in (2, 3, 4), got {n!r}"
         )
-    x = require_x(x, 10.0)
-    c = series_column(n, x)
+    rows = np.atleast_2d(values)
     total = 0.0
     for coeff, powers in POLY_IDENTITY_MONOMIALS[n]:
         term = coeff
-        for base, p in zip(c, powers):
-            term *= base ** p
-        total += term
-    return abs(total - 1.0)
+        for column, p in zip(rows.T.tolist(), powers):
+            term = term * np.array([v**p for v in column])
+        total = total + term
+    return total if np.ndim(values) == 2 else total[0]
 
 
-def addition_residual(n: int, x: float, y: float) -> np.ndarray:
+def polynomial_identity_residual(n: int, x) -> float | np.ndarray:
+    """|P_n(c_0..c_{n-1}) - 1| for the explicitly expanded identities.
+
+    Available for n in {2, 3, 4}; the component values come from the
+    series route (a 1-D x gives one residual per x).  This is the same
+    quantity as the determinant residual computed through the printed
+    polynomial instead of an LU sweep.
+    """
+    x = require_xs(x, 10.0, require_level(n))
+    return np.abs(polynomial_identity(n, series_column(n, x)) - 1.0)
+
+
+def _pair_rows(n: int, x, y) -> tuple[int, np.ndarray, np.ndarray]:
+    # n and the rows of x and y (|.| <= 10): both floats, or 1-D of one length;
+    # a row takes n^2 entries of circulant and 3n of series
+    n = require_level(n)
+    x = require_xs(x, 10.0, n * (n + 3))
+    y = require_xs(y, 10.0, n * (n + 3))
+    if np.shape(x) != np.shape(y):
+        raise DomainError(f"invalid-grid: need x and y of one shape, got {np.shape(x)} and {np.shape(y)}")
+    return n, np.atleast_1d(x), np.atleast_1d(y)
+
+
+def addition_residual(n: int, x, y) -> np.ndarray:
     """Per-class residuals of c_j(x+y) = sum_{k+l=j mod n} c_k(x) c_l(y).
 
     The right side is the cyclic convolution of the series columns at x
-    and y, i.e. the circulant of c(y) applied to c(x).
+    and y, i.e. the circulant of c(y) applied to c(x).  Floats x, y give
+    shape (n,); 1-D x, y of length T give (T, n) from one series call,
+    with T dense circulants (T * n^2 entries) for the products.
     """
-    n = require_level(n)
-    x = require_x(x, 10.0)
-    y = require_x(y, 10.0)
-    cx = series_column(n, x)
-    cy = series_column(n, y)
-    return np.abs(series_column(n, x + y) - circulant(cy) @ cx)
+    n, xs, ys = _pair_rows(n, x, y)
+    cx, cy, cxy = np.split(series_column(n, np.concatenate((xs, ys, xs + ys))), 3)
+    return _rows_like(x, np.abs(cxy - (circulant(cy) @ cx[:, :, None])[:, :, 0]))
 
 
-def mixed_product_residual(n: int, x: float, y: float) -> np.ndarray:
+def mixed_product_residual(n: int, x, y) -> np.ndarray:
     """Per-class residuals of the mixed bilinear relation for exp(x*shift) exp(y*shift^T).
 
     Left side of class j: the series product sum_k c_k(x) c_{(k-j) mod n}(y),
     i.e. c(x) times the circulant of c(y).
     Right side: (1/n) sum_k s^(k(n-j)) exp(x s^k + y s^(n-k)), all classes
     from one circulant column, whose imaginary parts are checked to be
-    rounding-level before the real parts are compared.
+    rounding-level before the real parts are compared.  Shapes and memory
+    as in addition_residual.
     """
-    n = require_level(n)
-    x = require_x(x, 10.0)
-    y = require_x(y, 10.0)
-    cx = series_column(n, x)
-    cy = series_column(n, y)
+    n, xs, ys = _pair_rows(n, x, y)
+    cx, cy = np.split(series_column(n, np.concatenate((xs, ys))), 2)
     roots = roots_of_unity(n)
-    rhs = circulant_column(np.exp(x * roots + y * np.conj(roots)))
-    return np.abs(cx @ circulant(cy) - _real_column(rhs, math.exp(abs(x) + abs(y))))
+    rhs = circulant_column(np.exp(np.multiply.outer(xs, roots) + np.multiply.outer(ys, np.conj(roots))))
+    lhs = (cx[:, None, :] @ circulant(cy))[:, 0, :]
+    return _rows_like(x, np.abs(lhs - _real_column(rhs, np.exp(np.abs(xs) + np.abs(ys)))))

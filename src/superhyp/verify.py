@@ -123,6 +123,25 @@ def _trials_seed(trials, key: str, seed) -> tuple[int, int]:
     )
 
 
+def _blocks(values, rows: int):
+    """(index of the first item, slice) for consecutive slices of at most `rows` items."""
+    for start in range(0, len(values), rows):
+        yield start, values[start : start + rows]
+
+
+def _trial_blocks(rng, trials: int, n: int):
+    """(first trial, (xs, ys)) per block of a level's seeded points in [-3, 3]^2.
+
+    All of the level's points come from one draw of shape (trials, 2),
+    the same stream as one draw of 2 per trial.  A block holds at most
+    hyperbolic.block_rows(n * n) trials, so the residual call for it
+    builds O(BLOCK + n^2) circulant entries.
+    """
+    points = rng.uniform(-3.0, 3.0, size=(trials, 2))
+    for start, block in _blocks(points, hyperbolic.block_rows(n * n)):
+        yield start, block.T
+
+
 def _tols(suite: str, tol):
     base = dict(DEFAULT_TOLERANCES[suite])
     if tol is not None:
@@ -173,31 +192,32 @@ def verify_superhyp(n_values=None, x_values=None, tol=None) -> VerificationRepor
     t = _tols("superhyp", tol)
     cases = []
     for n in n_values:
-        for x in x_values:
-            det_res = hyperbolic.fundamental_identity_residual(n, x)
-            cases.append(_case({"n": n, "x": x, "check": "identity"}, det_res, t["identity"]))
+        for _, xs in _blocks(x_values, hyperbolic.block_rows(n)):
+            series = hyperbolic.series_column(n, xs)
+            spreads = np.abs(series - hyperbolic.filter_column(n, xs).real).max(axis=1)
             if n in hyperbolic.POLY_IDENTITY_MONOMIALS:
-                poly_res = hyperbolic.polynomial_identity_residual(n, x)
-                cases.append(
-                    _case({"n": n, "x": x, "check": "polynomial"}, poly_res, t["polynomial"])
-                )
+                polys = np.abs(hyperbolic.polynomial_identity(n, series) - 1.0)
+            for i, x in enumerate(xs):
+                det_res = hyperbolic.fundamental_identity_residual(n, x)
+                cases.append(_case({"n": n, "x": x, "check": "identity"}, det_res, t["identity"]))
+                if n in hyperbolic.POLY_IDENTITY_MONOMIALS:
+                    cases.append(
+                        _case({"n": n, "x": x, "check": "polynomial"}, polys[i], t["polynomial"])
+                    )
+                    cases.append(
+                        _case(
+                            {"n": n, "x": x, "check": "agreement"},
+                            abs(polys[i] - det_res),
+                            t["agreement"],
+                        )
+                    )
                 cases.append(
                     _case(
-                        {"n": n, "x": x, "check": "agreement"},
-                        abs(poly_res - det_res),
-                        t["agreement"],
+                        {"n": n, "x": x, "check": "cross_method"},
+                        spreads[i],
+                        t["cross_method"] * math.exp(abs(x)),
                     )
                 )
-            spread = algebra.max_abs(
-                hyperbolic.series_column(n, x) - hyperbolic.filter_column(n, x).real
-            )
-            cases.append(
-                _case(
-                    {"n": n, "x": x, "check": "cross_method"},
-                    spread,
-                    t["cross_method"] * math.exp(abs(x)),
-                )
-            )
     return _finish(
         "superhyp", {"n_values": n_values, "x_values": x_values, "tol": t}, cases, started
     )
@@ -212,16 +232,16 @@ def verify_addition(n_values=None, trials=None, seed=0, tol=None) -> Verificatio
     rng = np.random.default_rng(seed)
     cases = []
     for n in n_values:
-        for trial in range(trials):
-            x, y = rng.uniform(-3.0, 3.0, size=2)
-            residual = float(hyperbolic.addition_residual(n, x, y).max())
-            cases.append(
-                _case(
-                    {"n": n, "trial": trial, "x": float(x), "y": float(y)},
-                    residual,
-                    t["addition"],
+        for start, (xs, ys) in _trial_blocks(rng, trials, n):
+            residuals = hyperbolic.addition_residual(n, xs, ys).max(axis=1)
+            for trial, (x, y, residual) in enumerate(zip(xs.tolist(), ys.tolist(), residuals.tolist()), start):
+                cases.append(
+                    _case(
+                        {"n": n, "trial": trial, "x": x, "y": y},
+                        residual,
+                        t["addition"],
+                    )
                 )
-            )
     return _finish(
         "addition",
         {"n_values": n_values, "trials": trials, "seed": seed, "tol": t},
@@ -239,17 +259,18 @@ def verify_mixed(n_values=None, trials=None, seed=0, tol=None) -> VerificationRe
     rng = np.random.default_rng(seed)
     cases = []
     for n in n_values:
-        for trial in range(trials):
-            x, y = rng.uniform(-3.0, 3.0, size=2)
-            scale = math.exp(abs(x) + abs(y))
-            for j, residual in enumerate(hyperbolic.mixed_product_residual(n, x, y)):
-                cases.append(
-                    _case(
-                        {"n": n, "trial": trial, "j": j, "x": float(x), "y": float(y)},
-                        residual,
-                        t["mixed"] * scale,
+        for start, (xs, ys) in _trial_blocks(rng, trials, n):
+            rows = hyperbolic.mixed_product_residual(n, xs, ys)
+            for trial, (x, y, row) in enumerate(zip(xs.tolist(), ys.tolist(), rows.tolist()), start):
+                scale = math.exp(abs(x) + abs(y))
+                for j, residual in enumerate(row):
+                    cases.append(
+                        _case(
+                            {"n": n, "trial": trial, "j": j, "x": x, "y": y},
+                            residual,
+                            t["mixed"] * scale,
+                        )
                     )
-                )
     return _finish(
         "mixed",
         {"n_values": n_values, "trials": trials, "seed": seed, "tol": t},

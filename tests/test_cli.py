@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import superhyp
-from superhyp import cli, verify
+from superhyp import cli, hyperbolic, verify
 
 
 def run_cli(capsys, *argv):
@@ -80,8 +80,11 @@ def test_eval_emits_one_json_object_per_grid_point(capsys):
     assert code == 0
     lines = out.strip().splitlines()
     assert len(lines) == 9
+    # one c_all call per n over the grid: each record is the call at its own x
     for line in lines:
-        json.loads(line)
+        record = json.loads(line)
+        n, x = record["params"]["n"], record["params"]["x"]
+        assert record["values"] == hyperbolic.c_all(n, x).values.tolist()
 
 
 def test_verify_superhyp_passes(capsys):
@@ -289,8 +292,6 @@ def test_table_superhyp_csv_shape_and_round_trip(capsys):
     lines = out.strip().splitlines()
     assert lines[0].split(",") == ["x", "c0", "c1", "c2", "c3"]
     assert len(lines) == 14
-    from superhyp import hyperbolic
-
     for line in lines[1:]:
         cells = line.split(",")
         assert len(cells) == 5

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +20,7 @@ from superhyp.errors import (
     require_level,
     require_order,
     require_x,
+    require_xs,
     unit_scale,
 )
 
@@ -57,12 +59,22 @@ def test_integer_checks_return_int_or_raise_domain_error(value):
 @settings(max_examples=300, deadline=None)
 @given(ANY_VALUE)
 def test_real_checks_return_float_or_raise_domain_error(value):
+    # require_xs treats a scalar as require_x does, and a one-entry list (of
+    # numbers, not numeric text) as the float64 array of that result
+    listed = [] if isinstance(value, str) else [[value]]
     try:
         result = require_x(value, 700.0)
     except DomainError:
+        for form in (value, *listed):
+            with pytest.raises(DomainError):
+                require_xs(form, 700.0)
         return
     assert type(result) is float and abs(result) <= 700.0
     assert not isinstance(value, bool)
+    same = require_xs(value, 700.0)
+    assert type(same) is float and same == result
+    for form in listed:
+        assert require_xs(form, 700.0).tobytes() == np.array([result]).tobytes()
 
 
 @settings(max_examples=300, deadline=None)
@@ -115,12 +127,20 @@ def test_size_caps_raise_before_allocating():
         bessel.bessel_table(MAX_ORDER + 1, 1.0)
     with pytest.raises(DomainError):
         bessel.bessel_i(10**12, 1.0)
+    # a 1-D x is capped by the entries per point it asks for
+    with pytest.raises(DomainError):
+        hyperbolic.series_column(MAX_LEVEL, np.zeros(MAX_GRID_POINTS + 1))
+    with pytest.raises(DomainError):
+        hyperbolic.addition_residual(MAX_LEVEL, np.zeros(3), np.zeros(3))
 
 
 def test_sizes_in_use_stay_admitted():
     assert require_level(2048) == 2048
     assert require_order(2000) == 2000
     assert require_half_width(200) == 200
+    # the largest CLI grid at the largest level, and a residual block there
+    assert require_xs(np.zeros(MAX_GRID_POINTS), 700.0, MAX_LEVEL).shape == (MAX_GRID_POINTS,)
+    assert require_xs(np.zeros(2), 10.0, MAX_LEVEL * (MAX_LEVEL + 3)).shape == (2,)
 
 
 def test_grid_cap_is_checked_on_the_count():

@@ -50,11 +50,26 @@ SERIES_X = [0.0, 1e-300, -1e-300, 0.3, -0.3, 1.0, -1.0, 3.0, -3.0, 10.0, -10.0, 
 
 @pytest.mark.parametrize("n", [*range(2, 17), 31, 64, 256, 1000])
 def test_series_column_is_the_per_class_loop_bit_for_bit(n):
-    # tobytes, so a -0.0 against a 0.0 counts as a difference
-    for x in SERIES_X:
+    # tobytes, so a -0.0 against a 0.0 counts as a difference; the array
+    # call holds rows that stop early (0.3) and rows that run to underflow (+-699)
+    rows = hyperbolic.series_column(n, np.array(SERIES_X))
+    assert rows.shape == (len(SERIES_X), n)
+    for x, row in zip(SERIES_X, rows):
         want = np.array([per_class_series(n, j, x) for j in range(n)])
         got = hyperbolic.series_column(n, x)
+        assert got.shape == (n,)
         assert got.tobytes() == want.tobytes(), (n, x)
+        assert row.tobytes() == want.tobytes(), (n, x)
+
+
+@pytest.mark.parametrize("n", [2, 5, 64])
+def test_series_column_blocks_do_not_change_rows(monkeypatch, n):
+    xs = np.linspace(-30.0, 30.0, 11)
+    whole = hyperbolic.series_column(n, xs)
+    monkeypatch.setattr(hyperbolic, "BLOCK", 3 * n)  # blocks of 3, 3, 3 and 2 rows
+    assert hyperbolic.block_rows(n) == 3
+    assert hyperbolic.series_column(n, xs).tobytes() == whole.tobytes()
+    assert hyperbolic.series_column(n, []).shape == (0, n)
 
 
 def test_c_series_is_an_entry_of_the_column():
@@ -97,6 +112,11 @@ def test_series_argument_and_index_guards():
         hyperbolic.c_series(3, 0, 701.0)
     with pytest.raises(DomainError):
         hyperbolic.c_series(1, 0, 1.0)
+    with pytest.raises(DomainError, match="got 701.0"):
+        hyperbolic.series_column(3, np.array([0.5, 701.0, -702.0]))
+    for bad in (np.zeros((2, 2)), [[1.0], [2.0, 3.0]], np.array([True]), [0.5, "a"], [0.5, np.nan]):
+        with pytest.raises(DomainError):
+            hyperbolic.series_column(3, bad)
 
 
 def test_filter_two_levels_is_sinh():
@@ -171,10 +191,15 @@ def test_c_all_filter_tolerates_rounding_noise_near_zero():
 
 
 def test_c_all_filter_is_the_per_class_filter():
+    xs = (-3.0, 0.4, 5.0)
     for n in (2, 7, 64):
-        for x in (-3.0, 0.4, 5.0):
+        rows = hyperbolic.c_all(n, np.array(xs), "filter").values
+        assert rows.shape == (len(xs), n)
+        for x, row in zip(xs, rows):
             values = hyperbolic.c_all(n, x, "filter").values
             np.testing.assert_array_equal(values, [hyperbolic.c_filter_complex(n, j, x).real for j in range(n)])
+            assert row.tobytes() == values.tobytes()
+            assert hyperbolic.filter_column(n, [x])[0].tobytes() == hyperbolic.filter_column(n, x).tobytes()
 
 
 def test_c_all_rejects_unknown_method():
@@ -351,11 +376,15 @@ def test_polynomial_identity_rejects_other_levels():
 
 
 def test_polynomial_and_determinant_agree():
+    xs = (-3.0, -1.5, 0.0, 0.7, 1.3, 3.0)
     for n in (2, 3, 4):
-        for x in (-3.0, -1.5, 0.0, 0.7, 1.3, 3.0):
+        rows = hyperbolic.polynomial_identity_residual(n, np.array(xs))
+        assert rows.shape == (len(xs),)
+        for x, row in zip(xs, rows):
             poly = hyperbolic.polynomial_identity_residual(n, x)
             det = hyperbolic.fundamental_identity_residual(n, x)
             assert abs(poly - det) <= 1e-10
+            assert row == poly
 
 
 def _loop_addition_residual(n, x, y):
@@ -379,13 +408,21 @@ def _loop_mixed_residual(n, x, y):
 @pytest.mark.parametrize("n", [2, 3, 5, 8, 13])
 def test_circulant_residuals_match_the_loop_forms_to_rounding(n):
     rng = np.random.default_rng(n)
-    for x, y in rng.uniform(-3.0, 3.0, size=(20, 2)):
-        bound = 16 * n * _EPS * math.exp(abs(x) + abs(y))
-        for new, old in (
-            (hyperbolic.addition_residual, _loop_addition_residual),
-            (hyperbolic.mixed_product_residual, _loop_mixed_residual),
-        ):
+    points = rng.uniform(-3.0, 3.0, size=(20, 2))
+    for new, old in (
+        (hyperbolic.addition_residual, _loop_addition_residual),
+        (hyperbolic.mixed_product_residual, _loop_mixed_residual),
+    ):
+        rows = new(n, points[:, 0], points[:, 1])
+        assert rows.shape == (len(points), n)
+        for (x, y), row in zip(points, rows):
+            bound = 16 * n * _EPS * math.exp(abs(x) + abs(y))
             assert np.abs(new(n, x, y) - old(n, x, y)).max() <= bound
+            assert row.tobytes() == new(n, x, y).tobytes()
+        with pytest.raises(DomainError):
+            new(n, points[:, 0], points[:3, 1])
+        with pytest.raises(DomainError):
+            new(n, points[0, 0], points[:, 1])
 
 
 def test_addition_with_zero_recovers_values():
