@@ -1,9 +1,11 @@
 """Dense complex linear algebra for cyclic clock-and-shift systems.
 
-Everything here is a pure function of its arguments. Matrices are plain
-numpy arrays, complex128 unless their values are real: mat_exp keeps a
-real argument float64, and circulant keeps the dtype of its column;
-comparisons throughout the package use the entrywise max norm.
+Everything here is a pure function of its arguments. Matrices are numpy
+arrays, complex128 unless their values are real: mat_exp keeps a real
+argument float64, and circulant keeps the dtype of its column.  A
+circulant is a read-only strided view of O(n) entries, not a dense
+n x n copy; np.array(m) gives a writable one.  Comparisons throughout
+the package use the entrywise max norm.
 """
 
 from __future__ import annotations
@@ -59,17 +61,18 @@ def circulant_column(eig) -> np.ndarray:
 
 
 def circulant(col) -> np.ndarray:
-    """Dense circulant with first column col: entry (i, k) is col[(i - k) mod n].
+    """Circulant with first column col, as a read-only view: entry (i, k) is col[(i - k) mod n].
 
     A stack of columns (..., n) gives the stack of circulants (..., n, n).
     Entry (i, k) is element n - 1 - i + k of rev = (col reversed, then
     col[n-1], ..., col[1]), so row i is the forward slice
     rev[n-1-i : 2n-1-i] and the matrix is a view of rev with strides
-    (-1, +1) elements, copied once into a fresh C-ordered array: O(n^2)
-    writes and no index arrays.  The inner stride is positive because
-    numpy copies a complex128 view faster that way (at n = 1024, 2.0 ms
-    with strides (+1, -1) against 1.0 ms, on a 2-core Xeon); a float64
-    copy takes the same time either way.
+    (-1, +1) elements: O(n) time and memory, 2n - 1 entries per
+    circulant, no n^2 copy and no index arrays.  The view is marked
+    read-only because every row shares rev's entries; np.array(m) gives
+    a writable C-ordered copy.  numpy's matmul does not order its sums
+    on such a view as it does on a contiguous array, so a caller whose
+    product must carry BLAS's bits copies first (np.ascontiguousarray).
     """
     col = np.asarray(col)
     n = col.shape[-1]
@@ -82,7 +85,8 @@ def circulant(col) -> np.ndarray:
         offset=(n - 1) * step,
         strides=(*rev.strides[:-1], -step, step),
     )
-    return view.copy()
+    view.flags.writeable = False
+    return view
 
 
 def clock_matrix(n: int) -> np.ndarray:

@@ -47,6 +47,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -68,38 +69,50 @@ _EPS = np.finfo(float).eps
 class LatticeOperators:
     """Truncated lattice operators on dimension 2N+1.
 
-    g and s are exact integer matrices; sigma3t is the complex clock
-    exp(2*pi*i*(G + alpha)/(2N+1)).
+    The fields are N, mode and alpha; the dense matrices are built on
+    first read and then kept: g and s are exact integer matrices, sigma3t
+    is the complex clock exp(2*pi*i*(G + alpha)/(2N+1)).  A caller that
+    reads only N and mode, such as generating_operator, allocates none
+    of them.
     """
 
     N: int
     mode: str
     alpha: float
-    g: np.ndarray
-    s: np.ndarray
-    sigma3t: np.ndarray
 
     @property
     def dim(self) -> int:
         return 2 * self.N + 1
 
+    @property
+    def _levels(self) -> np.ndarray:
+        return np.arange(-self.N, self.N + 1, dtype=np.int64)
+
+    @cached_property
+    def g(self) -> np.ndarray:
+        return np.diag(self._levels)
+
+    @cached_property
+    def s(self) -> np.ndarray:
+        s = np.eye(self.dim, k=-1, dtype=np.int64)
+        if self.mode == "cyclic":
+            s[0, self.dim - 1] = 1
+        return s
+
+    @cached_property
+    def sigma3t(self) -> np.ndarray:
+        return np.diag(np.exp(2j * np.pi * (self._levels + self.alpha) / self.dim))
+
 
 def build_lattice(N: int, mode: str = "cyclic", alpha: float = 0.0) -> LatticeOperators:
-    """Construct the truncated operators and validate their inputs."""
+    """Validate the inputs of the truncated operators; the matrices are built on first read."""
     N = require_half_width(N)
     if mode not in MODES:
         raise DomainError(f"invalid-mode: expected one of {MODES}, got {mode!r}")
     alpha = float(alpha)
     if not 0.0 <= alpha < 1.0:
         raise DomainError(f"invalid-gauge: need 0 <= alpha < 1, got {alpha!r}")
-    dim = 2 * N + 1
-    levels = np.arange(-N, N + 1, dtype=np.int64)
-    g = np.diag(levels)
-    s = np.eye(dim, k=-1, dtype=np.int64)
-    if mode == "cyclic":
-        s[0, dim - 1] = 1
-    sigma3t = np.diag(np.exp(2j * np.pi * (levels + alpha) / dim))
-    return LatticeOperators(N=N, mode=mode, alpha=alpha, g=g, s=s, sigma3t=sigma3t)
+    return LatticeOperators(N=N, mode=mode, alpha=alpha)
 
 
 @dataclass(frozen=True)

@@ -54,9 +54,10 @@ def generating_column(n: int, x: float, w: complex) -> np.ndarray:
 def generating_matrix(n: int, x: float, w: complex) -> GeneratingMatrixEval:
     """Evaluate the matrix generating function spectrally.
 
-    The dense circulant gathered from `generating_column`: O(n log n) for
-    the column, O(n^2) time and memory for the matrix.  Callers that need
-    only traces read the column instead (`trace_projection`).
+    The circulant of `generating_column`, as algebra.circulant's read-only
+    view: O(n log n) time for the column and O(n) memory for the matrix
+    (2n - 1 complex entries).  Callers that need only traces read the
+    column instead (`trace_projection`).
     """
     col = generating_column(n, x, w)
     return GeneratingMatrixEval(n=col.size, x=float(x), w=complex(w), matrix=circulant(col))

@@ -241,8 +241,9 @@ def c_all(n: int, x, method: str = "series") -> SuperHypValues:
 def exp_circulant(n: int, x: float) -> np.ndarray:
     """exp(x * shift) built spectrally, as a real float64 circulant matrix.
 
-    O(n log n) column (one FFT of the eigenvalues exp(x s^k)), O(n^2)
-    dense gather: entry (i, k) is c_{(i-k) mod n}(x), n^2 * 8 bytes.
+    O(n log n) column (one FFT of the eigenvalues exp(x s^k)), returned
+    as algebra.circulant's read-only view: entry (i, k) is
+    c_{(i-k) mod n}(x), held in 2n - 1 float64 entries, not n^2.
     The matrix is real, so the imaginary part of the filter column must
     be rounding residue (at most 1e-10 * exp(|x|)); a larger or NaN
     residue raises ValidationError, and only the real part is gathered.
@@ -257,8 +258,9 @@ def fundamental_identity_residual(n: int, x: float) -> float:
 
     The determinant is the product of exp(x * s^k) over all n-th roots
     of unity s^k, and the exponents sum to zero, so the exact value is 1
-    for every n and x.  It is computed by a real LU (LAPACK) of the
-    dense float64 `exp_circulant`, not from those eigenvalues.
+    for every n and x.  It is computed by a real LU (LAPACK, on its own
+    dense copy of the float64 `exp_circulant` view), not from those
+    eigenvalues.
     """
     n = require_level(n)
     x = require_x(x, 10.0)
@@ -315,11 +317,14 @@ def addition_residual(n: int, x, y) -> np.ndarray:
     The right side is the cyclic convolution of the series columns at x
     and y, i.e. the circulant of c(y) applied to c(x).  Floats x, y give
     shape (n,); 1-D x, y of length T give (T, n) from one series call,
-    with T dense circulants (T * n^2 entries) for the products.
+    with T dense circulants (T * n^2 entries, contiguous copies of
+    algebra.circulant's views) for the products.
     """
     n, xs, ys = _pair_rows(n, x, y)
     cx, cy, cxy = np.split(series_column(n, np.concatenate((xs, ys, xs + ys))), 3)
-    return _rows_like(x, np.abs(cxy - (circulant(cy) @ cx[:, :, None])[:, :, 0]))
+    # a contiguous copy of the circulant view keeps BLAS's summation order
+    conv = (np.ascontiguousarray(circulant(cy)) @ cx[:, :, None])[:, :, 0]
+    return _rows_like(x, np.abs(cxy - conv))
 
 
 def mixed_product_residual(n: int, x, y) -> np.ndarray:
@@ -336,5 +341,5 @@ def mixed_product_residual(n: int, x, y) -> np.ndarray:
     cx, cy = np.split(series_column(n, np.concatenate((xs, ys))), 2)
     roots = roots_of_unity(n)
     rhs = circulant_column(np.exp(np.multiply.outer(xs, roots) + np.multiply.outer(ys, np.conj(roots))))
-    lhs = (cx[:, None, :] @ circulant(cy))[:, 0, :]
+    lhs = (cx[:, None, :] @ np.ascontiguousarray(circulant(cy)))[:, 0, :]
     return _rows_like(x, np.abs(lhs - _real_column(rhs, np.exp(np.abs(xs) + np.abs(ys)))))

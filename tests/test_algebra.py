@@ -255,6 +255,15 @@ def _gather_circulant(col):
     return col[(k[:, None] - k[None, :]) % col.size]
 
 
+def _assert_read_only_view(m, entries):
+    # the memory promise of algebra.circulant: no dense copy, and no write
+    # through a view whose rows share their entries
+    assert not m.flags.writeable
+    with pytest.raises(ValueError):
+        m[(0,) * m.ndim] = 0
+    assert m.base.nbytes <= entries * m.itemsize
+
+
 @pytest.mark.parametrize("n", [*range(1, 18), 256, 2048])
 def test_circulant_is_the_index_gather_bit_for_bit(n):
     rng = np.random.default_rng(n)
@@ -263,7 +272,13 @@ def test_circulant_is_the_index_gather_bit_for_bit(n):
         got = algebra.circulant(col)
         want = _gather_circulant(col)
         assert got.dtype == want.dtype and got.shape == (n, n)
-        assert got.flags.c_contiguous and got.tobytes() == want.tobytes()
+        assert got.tobytes() == want.tobytes()
+        _assert_read_only_view(got, 2 * n - 1)
+    stack = rng.standard_normal((3, n))
+    got = algebra.circulant(stack)
+    assert got.shape == (3, n, n)
+    assert got.tobytes() == np.stack([_gather_circulant(col) for col in stack]).tobytes()
+    _assert_read_only_view(got, 3 * (2 * n - 1))
 
 
 def _loop_lu_determinant(a):

@@ -41,6 +41,47 @@ def test_build_guards():
         circle.build_lattice(2, alpha=-0.1)
 
 
+def _eager_lattice(N, mode, alpha):
+    # the construction build_lattice made before the matrices became lazy
+    dim = 2 * N + 1
+    levels = np.arange(-N, N + 1, dtype=np.int64)
+    s = np.eye(dim, k=-1, dtype=np.int64)
+    if mode == "cyclic":
+        s[0, dim - 1] = 1
+    return {"g": np.diag(levels), "s": s, "sigma3t": np.diag(np.exp(2j * np.pi * (levels + alpha) / dim))}
+
+
+@pytest.mark.parametrize("N", [1, 2, 5, 20])
+@pytest.mark.parametrize("mode", circle.MODES)
+@pytest.mark.parametrize("alpha", [0.0, 0.25, 0.7])
+def test_lazy_matrices_are_the_eager_construction(N, mode, alpha):
+    ops = circle.build_lattice(N, mode=mode, alpha=alpha)
+    for name, want in _eager_lattice(N, mode, alpha).items():
+        got = getattr(ops, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+        assert getattr(ops, name) is got  # built once, then kept
+
+
+def test_build_lattice_builds_no_matrix():
+    ops = circle.build_lattice(3, mode="cyclic", alpha=0.25)
+    assert not any(isinstance(v, np.ndarray) for v in vars(ops).values())
+    circle.generating_operator(ops, 1.0, 0.8)
+    assert not any(isinstance(v, np.ndarray) for v in vars(ops).values())
+
+
+@pytest.mark.parametrize("mode", circle.MODES)
+def test_build_lattice_allocates_no_matrix_at_the_size_cap(mode):
+    # one (2N+1)^2 int64 plane at N = 2047 would be 128 MiB
+    tracemalloc.start()
+    try:
+        ops = circle.build_lattice(2047, mode=mode)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
+    assert ops.dim == 4095
+
+
 def test_cyclic_shift_matches_finite_system_shift():
     ops = circle.build_lattice(3, mode="cyclic")
     np.testing.assert_array_equal(
@@ -255,18 +296,17 @@ def test_element_allocates_no_matrix_at_the_size_cap():
 
 def test_open_operator_peak_memory():
     # the docstring's bound: three n^2 float64 planes (the complex result
-    # is two of them) plus O(n) vectors
+    # is two of them) plus O(n) vectors; build_lattice adds no plane
     N = 1000
     plane = (2 * N + 1) ** 2 * 8
-    ops = circle.build_lattice(N, mode="open")
-    for w in (2.0, 0.8 * np.exp(1j * np.pi / 5)):
+    for x, w in ((20.0, 2.0), (20.0, 0.8 * np.exp(1j * np.pi / 5)), (5.0, 1j)):
         tracemalloc.start()
         try:
-            circle.generating_operator(ops, 20.0, w)
+            circle.generating_operator(circle.build_lattice(N, mode="open"), x, w)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 4 * plane + 2**20, peak / plane
+        assert peak <= 3 * plane + 2**20, peak / plane
 
 
 def _image_sum(N, x, w, m, k, cache):

@@ -138,6 +138,21 @@ def test_trace_projection_allocates_no_matrix_at_the_level_cap():
     assert abs(value - genmatrix.exponential_sum(MAX_LEVEL, 1.0, 0.8, j)) <= 1e-11 * math.e
 
 
+def test_generating_matrix_allocates_no_matrix_at_the_level_cap():
+    # the matrix is a view of 2n - 1 entries; a dense complex plane would be 256 MiB
+    genmatrix.generating_matrix(MAX_LEVEL, 1.0, 0.8)  # warm numpy's FFT plan cache
+    tracemalloc.start()
+    try:
+        m = genmatrix.generating_matrix(MAX_LEVEL, 1.0, 0.8).matrix
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
+    col = genmatrix.generating_column(MAX_LEVEL, 1.0, 0.8)
+    for i, k in ((0, 0), (5, 3), (3, 5), (MAX_LEVEL - 1, 0), (0, MAX_LEVEL - 1)):
+        assert m[i, k] == col[(i - k) % MAX_LEVEL]
+
+
 def test_column_routes_match_their_per_class_forms():
     for n, x, w in ((5, 1.3, 0.8 + 0.2j), (64, 2.0, W_SET[2])):
         col = genmatrix.generating_column(n, x, w)
