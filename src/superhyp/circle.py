@@ -2,8 +2,12 @@
 
 The basis is labelled -N..N (dimension 2N+1).  The number operator G is
 the exact integer diagonal diag(-N..N), the unit shift S moves every
-basis vector up one site, and exp(2*pi*i*(G + alpha)/(2N+1)) is the
-clock built from the gauge-shifted number operator, alpha in [0, 1).
+basis vector up one site, and V(alpha) = exp(2*pi*i*(G + alpha)/(2N+1))
+is the clock built from the gauge-shifted number operator, alpha in
+[0, 1).  All three are O(N) data: G and V are diagonals, and S is its
+subdiagonal of 1s plus one wraparound entry.  With
+omega = exp(2*pi*i/(2N+1)) the cyclic pair obeys the Weyl relation
+V S = omega S V, the finite form of Ohnuki-Kitakado's [G, U] = U.
 
 Two boundary modes:
 
@@ -47,7 +51,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -67,13 +70,12 @@ _EPS = np.finfo(float).eps
 
 @dataclass(frozen=True)
 class LatticeOperators:
-    """Truncated lattice operators on dimension 2N+1.
+    """Truncated lattice operators on dimension 2N+1, as O(N) data.
 
-    The fields are N, mode and alpha; the dense matrices are built on
-    first read and then kept: g and s are exact integer matrices, sigma3t
-    is the complex clock exp(2*pi*i*(G + alpha)/(2N+1)).  A caller that
-    reads only N and mode, such as generating_operator, allocates none
-    of them.
+    The fields are N, mode and alpha; nothing else is stored.  G is
+    diag(levels), S has 1 on its whole subdiagonal and `corner` at the
+    wraparound entry S[0, 2N], and the clock V(alpha) is diag(clock).
+    No (2N+1)^2 matrix is built.
     """
 
     N: int
@@ -85,27 +87,23 @@ class LatticeOperators:
         return 2 * self.N + 1
 
     @property
-    def _levels(self) -> np.ndarray:
+    def levels(self) -> np.ndarray:
+        """The exact int64 diagonal -N..N of G."""
         return np.arange(-self.N, self.N + 1, dtype=np.int64)
 
-    @cached_property
-    def g(self) -> np.ndarray:
-        return np.diag(self._levels)
+    @property
+    def corner(self) -> int:
+        """S[0, 2N]: 1 on the cyclic lattice, 0 on the open one."""
+        return 1 if self.mode == "cyclic" else 0
 
-    @cached_property
-    def s(self) -> np.ndarray:
-        s = np.eye(self.dim, k=-1, dtype=np.int64)
-        if self.mode == "cyclic":
-            s[0, self.dim - 1] = 1
-        return s
-
-    @cached_property
-    def sigma3t(self) -> np.ndarray:
-        return np.diag(np.exp(2j * np.pi * (self._levels + self.alpha) / self.dim))
+    @property
+    def clock(self) -> np.ndarray:
+        """The complex diagonal exp(2*pi*i*(levels + alpha)/(2N+1)) of V(alpha)."""
+        return np.exp(2j * np.pi * (self.levels + self.alpha) / self.dim)
 
 
 def build_lattice(N: int, mode: str = "cyclic", alpha: float = 0.0) -> LatticeOperators:
-    """Validate the inputs of the truncated operators; the matrices are built on first read."""
+    """Validate the inputs of the truncated operators; O(1) after validation."""
     N = require_half_width(N)
     if mode not in MODES:
         raise DomainError(f"invalid-mode: expected one of {MODES}, got {mode!r}")
@@ -135,13 +133,15 @@ class CommutatorReport:
 
 
 def commutator_check(ops: LatticeOperators) -> CommutatorReport:
-    """Evaluate [G, S] - S in integer arithmetic."""
-    levels = np.diag(ops.g)
-    defect = np.subtract.outer(levels, levels) * ops.s - ops.s
-    corner = int(defect[0, ops.dim - 1])
-    rest = defect.copy()
-    rest[0, ops.dim - 1] = 0
-    max_other = int(np.abs(rest).max())
+    """Evaluate [G, S] - S in integer arithmetic on the band of S.
+
+    [G, S] - S vanishes off the support of S.  Entry (i + 1, i) of the
+    subdiagonal is levels[i + 1] - levels[i] - 1, and the corner (0, 2N)
+    is (levels[0] - levels[-1] - 1) times the wraparound entry S[0, 2N].
+    """
+    levels = ops.levels
+    max_other = int(np.abs(levels[1:] - levels[:-1] - 1).max())
+    corner = int((levels[0] - levels[-1] - 1) * ops.corner)
     if ops.mode == "cyclic":
         exact = max_other == 0 and corner % ops.dim == 0
     else:

@@ -1,4 +1,4 @@
-"""Command-line front end: evaluate values, verify identities, bench, tabulate.
+"""Command-line front end: evaluate values, verify identities, tabulate.
 
 Exit codes: 0 success/pass, 1 verification failure, 2 usage error,
 3 numeric-domain error.  Grids use the syntax `a..b:step` (both ends
@@ -7,8 +7,7 @@ comma lists, or a single value.  Complex flags accept `re,im` or a bare
 real shorthand.  Each subcommand takes only the flags it reads, each
 `eval` target and `table` kind only the flags it reads (TARGET_FLAGS),
 and `verify` passes a flag only to a suite that takes it; any other flag
-exits 2, as does a grid of several points where `bench` or `table`
-reads one.
+exits 2, as does a grid of several points where `table` reads one.
 """
 
 from __future__ import annotations
@@ -21,19 +20,14 @@ import json
 import math
 import re
 import sys
-import time
 
 from . import bessel, genmatrix, hyperbolic, verify
-from .algebra import mat_exp, shift_matrix
 from .errors import MAX_GRID_POINTS, DomainError
 
 EXIT_PASS = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 EXIT_DOMAIN = 3
-
-BENCH_OPS = ("circulant-exp-spectral", "circulant-exp-dense")
-
 
 class FlagValueError(argparse.ArgumentTypeError, ValueError):
     """A rejected flag value; argparse prints its message, library callers catch a ValueError."""
@@ -221,27 +215,6 @@ def _one(args, flag: str, where: str):
     return values[0]
 
 
-def _bench_once(op: str, n: int, x: float) -> float:
-    start = time.perf_counter()
-    if op == "circulant-exp-spectral":
-        hyperbolic.exp_circulant(n, x)
-    else:
-        mat_exp(x * shift_matrix(n))
-    return (time.perf_counter() - start) * 1e3
-
-
-def cmd_bench(args) -> int:
-    x = _one(args, "x", "bench")
-    repeats = 5
-    results = []
-    for n in args.n:
-        times = sorted(_bench_once(args.target, n, x) for _ in range(repeats))
-        results.append({"n": n, "median_ms": times[repeats // 2], "times_ms": times})
-    payload = {"op": args.target, "x": x, "repeats": repeats, "results": results}
-    _emit(_json_doc(payload), args.out)
-    return EXIT_PASS
-
-
 def _rows_superhyp(args) -> tuple[list[str], list[list]]:
     n = _one(args, "n", "table superhyp")
     header = ["x"] + [f"c{j}" for j in range(n)]
@@ -327,11 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("suite", choices=verify.SUITE_NAMES)
     _add_flags(sub, *SUITE_KEYWORDS)
     sub.set_defaults(handler=cmd_verify)
-
-    sub = commands.add_parser("bench", help="median-of-5 wall times, no pass/fail")
-    sub.add_argument("target", choices=BENCH_OPS)
-    _add_flags(sub, "n", "x")
-    sub.set_defaults(handler=cmd_bench, n=[64, 256], x=[1.0])
 
     sub = commands.add_parser("table", help="emit a CSV or JSON table")
     sub.add_argument("kind", choices=TABLE_KINDS)

@@ -54,7 +54,7 @@ DEFAULT_TOLERANCES = {
     "mixed": {"mixed": 1e-10},
     "bessel": {"classic": 1e-10, "recurrence": 1e-9, "generating_function": 1e-10},
     "genmatrix": {"trace_vs_sum": 1e-11, "trace_vs_bessel": 1e-9, "completeness": 1e-9},
-    "circle": {"commutator": 0.0, "gauge": 0.0, "spectrum": 1e-12, "shift_isometry": 0.0},
+    "circle": {"commutator": 0.0, "gauge": 0.0, "weyl": 1e-12, "shift_isometry": 0.0},
 }
 
 
@@ -390,10 +390,14 @@ def verify_genmatrix(n_values=None, x_values=None, w_values=None, tol=None) -> V
 
 
 def verify_circle(N_values=None, mode=None, alphas=None, tol=None) -> VerificationReport:
-    """Integer commutator accounting, gauge invariance, clock spectrum, isometry."""
+    """Integer commutator accounting, gauge invariance, shift isometry, Weyl pair.
+
+    Every check reads the O(N) band of the lattice: no (2N+1)^2 matrix
+    is built.  mode=None runs both modes.
+    """
     started = time.perf_counter()
     N_values = _grid(N_values, "circle_N", require_half_width)
-    modes = [mode] if mode else list(circle.MODES)
+    modes = list(circle.MODES) if mode is None else [mode]
     alphas = _grid(alphas, "circle_alphas", float)
     t = _tols("circle", tol)
     cases = []
@@ -429,31 +433,34 @@ def verify_circle(N_values=None, mode=None, alphas=None, tol=None) -> Verificati
                     alphas=alphas,
                 )
             )
-            st = ops.s.astype(complex)
-            gram = st.conj().T @ st
-            expected = np.eye(dim)
-            if m == "open":
-                expected = expected.copy()
-                expected[dim - 1, dim - 1] = 0.0
+            # the columns of S have disjoint supports, so S^T S is diagonal:
+            # 1 from each subdiagonal entry and corner^2 in the last column,
+            # against the identity (cyclic) or the identity less its last 1 (open)
             cases.append(
                 _case(
                     {"N": N, "mode": m, "check": "shift_isometry"},
-                    algebra.max_abs(gram - expected),
+                    abs(ops.corner**2 - int(m == "cyclic")),
                     t["shift_isometry"],
                 )
             )
+        # V S - omega S V is zero off the band of S: clock[i] - omega clock[i-1]
+        # on the subdiagonal, (clock[0] - omega clock[-1]) S[0, 2N] at the corner
+        omega = np.exp(2j * np.pi / dim)
+        ops = circle.build_lattice(N, mode="cyclic")
+        untwisted = ops.clock
         for a in alphas:
-            ops = circle.build_lattice(N, mode="cyclic", alpha=a)
-            eig = np.linalg.eigvals(ops.sigma3t)
-            expected = np.exp(2j * np.pi * (np.arange(-N, N + 1) + a) / dim)
-            # match by angle; the points are 2*pi/dim apart, far above noise
-            eig = eig[np.argsort(np.angle(eig))]
-            expected = expected[np.argsort(np.angle(expected))]
+            clock = circle.build_lattice(N, mode="cyclic", alpha=a).clock
+            band = clock - omega * np.roll(clock, 1)
+            band[0] *= ops.corner
+            weyl = float(np.abs(band).max())
+            covariance = float(np.abs(clock - np.exp(2j * np.pi * a / dim) * untwisted).max())
             cases.append(
                 _case(
-                    {"N": N, "alpha": a, "check": "spectrum"},
-                    float(np.abs(eig - expected).max()),
-                    t["spectrum"],
+                    {"N": N, "alpha": a, "check": "weyl"},
+                    max(weyl, covariance),
+                    t["weyl"],
+                    weyl_defect=weyl,
+                    covariance_defect=covariance,
                 )
             )
     return _finish(

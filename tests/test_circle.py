@@ -15,19 +15,19 @@ from superhyp.errors import ARG_MAX, DomainError
 def test_minimal_lattice_layout():
     ops = circle.build_lattice(1)
     assert ops.dim == 3
-    np.testing.assert_array_equal(ops.g, np.diag([-1, 0, 1]))
+    np.testing.assert_array_equal(ops.levels, [-1, 0, 1])
 
 
 def test_number_operator_is_exact_integer_diagonal():
     ops = circle.build_lattice(5, mode="open")
-    assert ops.g.dtype == np.int64
-    np.testing.assert_array_equal(np.diag(ops.g), np.arange(-5, 6))
+    assert ops.levels.dtype == np.int64
+    np.testing.assert_array_equal(ops.levels, np.arange(-5, 6))
 
 
 def test_clock_from_zero_gauge():
     ops = circle.build_lattice(2, alpha=0.0)
-    expected = np.diag(np.exp(2j * np.pi * np.arange(-2, 3) / 5))
-    assert np.abs(ops.sigma3t - expected).max() == 0.0
+    expected = np.exp(2j * np.pi * np.arange(-2, 3) / 5)
+    assert np.abs(ops.clock - expected).max() == 0.0
 
 
 def test_build_guards():
@@ -42,7 +42,7 @@ def test_build_guards():
 
 
 def _eager_lattice(N, mode, alpha):
-    # the construction build_lattice made before the matrices became lazy
+    # the dense G, S and clock V(alpha): the reference for the lattice's O(N) data
     dim = 2 * N + 1
     levels = np.arange(-N, N + 1, dtype=np.int64)
     s = np.eye(dim, k=-1, dtype=np.int64)
@@ -55,11 +55,47 @@ def _eager_lattice(N, mode, alpha):
 @pytest.mark.parametrize("mode", circle.MODES)
 @pytest.mark.parametrize("alpha", [0.0, 0.25, 0.7])
 def test_lazy_matrices_are_the_eager_construction(N, mode, alpha):
+    # G is diag(levels), S its subdiagonal of 1s plus the corner, V(alpha) diag(clock)
     ops = circle.build_lattice(N, mode=mode, alpha=alpha)
-    for name, want in _eager_lattice(N, mode, alpha).items():
-        got = getattr(ops, name)
-        assert got.dtype == want.dtype and np.array_equal(got, want), name
-        assert getattr(ops, name) is got  # built once, then kept
+    eager = _eager_lattice(N, mode, alpha)
+    assert ops.levels.dtype == np.int64
+    assert np.array_equal(np.diag(ops.levels), eager["g"])
+    band = np.eye(ops.dim, k=-1, dtype=np.int64)
+    band[0, -1] = ops.corner
+    assert np.array_equal(band, eager["s"])
+    assert ops.clock.dtype == np.complex128
+    assert np.array_equal(np.diag(ops.clock), eager["sigma3t"])
+
+
+def _outer_commutator(mode, g, s):
+    # the former commutator_check: [G, S] - S from the n x n outer product of the levels
+    dim = s.shape[0]
+    levels = np.diag(g)
+    defect = np.subtract.outer(levels, levels) * s - s
+    corner = int(defect[0, dim - 1])
+    rest = defect.copy()
+    rest[0, dim - 1] = 0
+    max_other = int(np.abs(rest).max())
+    if mode == "cyclic":
+        exact = max_other == 0 and corner % dim == 0
+    else:
+        exact = max_other == 0 and corner == 0
+    return circle.CommutatorReport(mode, dim, corner, max_other, corner % dim, exact)
+
+
+@pytest.mark.parametrize("N", [1, 2, 5, 20])
+@pytest.mark.parametrize("mode", circle.MODES)
+@pytest.mark.parametrize("alpha", [0.0, 0.25, 0.7])
+def test_band_commutator_is_the_outer_product_commutator(N, mode, alpha):
+    eager = _eager_lattice(N, mode, alpha)
+    want = _outer_commutator(mode, eager["g"], eager["s"])
+    assert circle.commutator_check(circle.build_lattice(N, mode=mode, alpha=alpha)) == want
+
+
+def test_commutator_corner_comes_from_the_wraparound_entry(monkeypatch):
+    monkeypatch.setattr(circle.LatticeOperators, "corner", property(lambda self: 2))
+    report = circle.commutator_check(circle.build_lattice(3, mode="open"))
+    assert report.corner_defect == -14 and not report.exact
 
 
 def test_build_lattice_builds_no_matrix():
@@ -83,31 +119,30 @@ def test_build_lattice_allocates_no_matrix_at_the_size_cap(mode):
 
 
 def test_cyclic_shift_matches_finite_system_shift():
-    ops = circle.build_lattice(3, mode="cyclic")
     np.testing.assert_array_equal(
-        ops.s, algebra.shift_matrix(7).real.astype(np.int64)
+        _eager_lattice(3, "cyclic", 0.0)["s"], algebra.shift_matrix(7).real.astype(np.int64)
     )
 
 
 def test_shift_order_by_mode():
     for N in (1, 3):
         dim = 2 * N + 1
-        cyc = circle.build_lattice(N, mode="cyclic")
+        cyc = _eager_lattice(N, "cyclic", 0.0)["s"]
         np.testing.assert_array_equal(
-            np.linalg.matrix_power(cyc.s, dim), np.eye(dim, dtype=np.int64)
+            np.linalg.matrix_power(cyc, dim), np.eye(dim, dtype=np.int64)
         )
-        opn = circle.build_lattice(N, mode="open")
+        opn = _eager_lattice(N, "open", 0.0)["s"]
         np.testing.assert_array_equal(
-            np.linalg.matrix_power(opn.s, dim), np.zeros((dim, dim), dtype=np.int64)
+            np.linalg.matrix_power(opn, dim), np.zeros((dim, dim), dtype=np.int64)
         )
 
 
 def test_clock_shift_relation_in_cyclic_mode():
     for alpha in (0.0, 0.25):
-        ops = circle.build_lattice(4, mode="cyclic", alpha=alpha)
-        sigma = np.exp(2j * np.pi / ops.dim)
-        s = ops.s.astype(complex)
-        assert np.abs(ops.sigma3t @ s - sigma * (s @ ops.sigma3t)).max() <= 1e-12
+        eager = _eager_lattice(4, "cyclic", alpha)
+        sigma = np.exp(2j * np.pi / 9)
+        s = eager["s"].astype(complex)
+        assert np.abs(eager["sigma3t"] @ s - sigma * (s @ eager["sigma3t"])).max() <= 1e-12
 
 
 @pytest.mark.parametrize("N", [1, 2, 5, 20])
@@ -137,22 +172,21 @@ def test_gauge_offset_does_not_change_commutator_report():
 
 
 def test_cyclic_shift_is_unitary_and_open_shift_is_isometry_off_boundary():
-    cyc = circle.build_lattice(3, mode="cyclic").s
+    cyc = _eager_lattice(3, "cyclic", 0.0)["s"]
     np.testing.assert_array_equal(cyc.T @ cyc, np.eye(7, dtype=np.int64))
-    opn = circle.build_lattice(3, mode="open").s
+    opn = _eager_lattice(3, "open", 0.0)["s"]
     expected = np.eye(7, dtype=np.int64)
     expected[6, 6] = 0
     np.testing.assert_array_equal(opn.T @ opn, expected)
 
 
 def test_clock_spectrum_carries_gauge_phase():
+    untwisted = circle.build_lattice(4).clock
     for alpha in (0.0, 0.25, 0.7):
-        ops = circle.build_lattice(4, alpha=alpha)
-        eig = np.linalg.eigvals(ops.sigma3t)
+        clock = circle.build_lattice(4, alpha=alpha).clock
         expected = np.exp(2j * np.pi * (np.arange(-4, 5) + alpha) / 9)
-        eig = eig[np.argsort(np.angle(eig))]
-        expected = expected[np.argsort(np.angle(expected))]
-        assert np.abs(eig - expected).max() <= 1e-12
+        assert np.abs(clock - expected).max() <= 1e-12
+        assert np.abs(clock - np.exp(2j * np.pi * alpha / 9) * untwisted).max() <= 1e-12
 
 
 def test_generating_operator_element_at_zero():
@@ -248,7 +282,7 @@ def test_open_lattice_real_route_is_the_complex_exponential(N):
     # N = 200, x = 20 the far corners lie below the smallest normal double
     eps = np.finfo(float).eps
     ops = circle.build_lattice(N, mode="open")
-    s = ops.s.astype(complex)
+    s = _eager_lattice(N, "open", 0.0)["s"].astype(complex)
     for x in (4.0, 20.0) if N == 200 else (4.0,):
         for w in (np.exp(1.234j), 0.8, 0.8 * np.exp(1j * np.pi / 5), -1.0, 1j, 2.0, 1.0 / 3.0):
             scale = abs(x) * max(abs(w), 1.0 / abs(w))

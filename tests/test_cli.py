@@ -235,7 +235,6 @@ def test_flag_the_target_does_not_take_is_usage_error(command, capsys):
         (["table", "bessel", "--x", "1,2"], "table bessel takes one --x value"),
         (["table", "superhyp", "--n", "3,4"], "table superhyp takes one --n value"),
         (["table", "identity", "--n", "2,3"], "table identity takes one --n value"),
-        (["bench", "circulant-exp-spectral", "--n", "4", "--x", "1,2"], "bench takes one --x value"),
     ],
 )
 def test_grid_where_one_value_is_read_is_usage_error(argv, message, capsys):
@@ -259,7 +258,6 @@ def test_rejected_grid_names_the_reason(capsys):
         ["verify", "superhyp", "--tol", "0"],
         ["verify", "addition", "--trials", "0"],
         ["eval", "superhyp", "--y", "1"],
-        ["bench", "circulant-exp-dense", "--kmax", "3"],
         ["verify", "mixed", "--trials", "2.7"],
     ],
 )
@@ -337,22 +335,6 @@ def test_unwritable_out_path_is_usage_error(tmp_path, capsys):
     assert code == 2
 
 
-def test_bench_smoke(capsys):
-    code, out = run_cli(capsys, "bench", "circulant-exp-spectral", "--n", "4,8")
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["op"] == "circulant-exp-spectral"
-    assert [r["n"] for r in payload["results"]] == [4, 8]
-    assert all(len(r["times_ms"]) == 5 for r in payload["results"])
-
-
-def test_bench_large_spectral_stays_fast(capsys):
-    code, out = run_cli(capsys, "bench", "circulant-exp-spectral", "--n", "1024")
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["results"][0]["median_ms"] < 10_000.0
-
-
 # -- every argv ends in an exit code ------------------------------------------
 
 def _int_grids(lo, hi):
@@ -392,15 +374,13 @@ _MALFORMED = st.sampled_from(
      "0..1:0", "1,,2", "1,2,3,4", "a", "0,1", "1j", "--n", "-", "1e-320"]
 )
 _COMMANDS = [("eval", t) for t in cli.EVAL_OPS] + [("verify", s) for s in verify.SUITE_NAMES]
-_COMMANDS += [("bench", t) for t in cli.BENCH_OPS] + [("table", k) for k in cli.TABLE_KINDS]
+_COMMANDS += [("table", k) for k in cli.TABLE_KINDS]
 
 
 @st.composite
 def _argv(draw):
     command = list(draw(st.sampled_from(_COMMANDS)))
     flags = draw(st.lists(st.sampled_from(sorted(cli.FLAGS)), max_size=4, unique=True))
-    if command[0] == "bench" and "n" not in flags:
-        flags.append("n")  # the default n = 64, 256 is beyond the budget
     argv = command
     for flag in flags:
         value = draw(st.one_of(_GOOD[flag], _GOOD[flag], _GOOD[flag], _MALFORMED))

@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -308,6 +309,15 @@ def test_exp_circulant_allocates_no_dense_plane():
     finally:
         tracemalloc.stop()
     assert peak <= 2**20, peak / (n * n * 8)
+
+
+def test_exp_circulant_at_1024_stays_fast():
+    times = []
+    for _ in range(5):
+        start = time.perf_counter()
+        hyperbolic.exp_circulant(1024, 1.0)
+        times.append(time.perf_counter() - start)
+    assert sorted(times)[2] < 10.0
 
 
 @pytest.mark.parametrize("n", [2, 5, 64])

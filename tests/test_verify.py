@@ -1,10 +1,13 @@
+import collections
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from test_circle import _eager_lattice
 from test_hyperbolic import _loop_addition_residual, _loop_mixed_residual
 
-from superhyp import hyperbolic, verify
+from superhyp import circle, hyperbolic, verify
 from superhyp.errors import MAX_GRID_POINTS, DomainError
 
 
@@ -25,6 +28,7 @@ from superhyp.errors import MAX_GRID_POINTS, DomainError
         ("mixed", {"trials": MAX_GRID_POINTS + 1}),
         ("addition", {"seed": 1.9}),
         ("mixed", {"seed": -1}),
+        ("circle", {"mode": ""}),
     ],
 )
 def test_grids_go_through_the_shared_validators(suite, kwargs):
@@ -135,3 +139,66 @@ def test_batched_superhyp_equals_the_per_point_loop():
                 )
             )
     assert _payload_cases(report) == _payload_cases(verify._finish("superhyp", {}, cases, 0.0))
+
+
+def _circle_key(case):
+    # (check, N, mode) per lattice, (check, N, alpha) per weyl case
+    inputs = case.inputs
+    return inputs["check"], inputs["N"], inputs.get("mode", inputs.get("alpha"))
+
+
+@pytest.mark.parametrize("N", [1, 2, 5, 20])
+@pytest.mark.parametrize("mode", circle.MODES)
+@pytest.mark.parametrize("alpha", [0.0, 0.25, 0.7])
+def test_band_circle_checks_equal_the_dense_ones(N, mode, alpha):
+    report = verify.run_suite("circle", N_values=[N], mode=mode, alphas=[alpha])
+    cases = {_circle_key(c): c for c in report.cases}
+    s = _eager_lattice(N, mode, 0.0)["s"]
+    expected = np.eye(2 * N + 1, dtype=np.int64)
+    if mode == "open":
+        expected[-1, -1] = 0
+    assert cases["shift_isometry", N, mode].residual == np.abs(s.T @ s - expected).max()
+    # the Weyl pair runs on the cyclic lattice whichever mode is asked for
+    eager = _eager_lattice(N, "cyclic", alpha)
+    s, v = eager["s"].astype(complex), eager["sigma3t"]
+    omega = np.exp(2j * np.pi / (2 * N + 1))
+    dense = np.abs(v @ s - omega * (s @ v)).max()
+    assert cases["weyl", N, alpha].details["weyl_defect"] == dense
+
+
+def test_weyl_case_fails_on_a_wrong_clock(monkeypatch):
+    # a clock of period 2N+2 breaks V S = omega S V and the alpha covariance
+    wrong = property(lambda self: np.exp(2j * np.pi * (self.levels + self.alpha) / (self.dim + 1)))
+    monkeypatch.setattr(circle.LatticeOperators, "clock", wrong)
+    report = verify.run_suite("circle", alphas=[0.0, 0.5])
+    for case in report.cases:
+        assert case.passed == (case.inputs["check"] != "weyl"), case.inputs
+    assert not report.passed
+
+
+@pytest.mark.parametrize("mode", [None, *circle.MODES])
+def test_circle_case_layout_is_pinned(mode):
+    # N * (3 * modes + alphas): three checks per (N, mode), one weyl per (N, alpha)
+    kwargs = {} if mode is None else {"mode": mode}
+    report = verify.run_suite("circle", N_values=[1, 3], alphas=[0.0, 0.5], **kwargs)
+    modes = list(circle.MODES) if mode is None else [mode]
+    assert report.params["modes"] == modes
+    assert len(report.cases) == 2 * (3 * len(modes) + 2)
+    want = collections.Counter(
+        [(check, N, m) for check in ("commutator", "gauge", "shift_isometry") for N in (1, 3) for m in modes]
+        + [("weyl", N, a) for N in (1, 3) for a in (0.0, 0.5)]
+    )
+    assert collections.Counter(map(_circle_key, report.cases)) == want
+    assert report.passed
+
+
+def test_circle_at_the_size_cap_is_o_of_n():
+    # one (2N+1)^2 int64 plane at N = 2047 would be 128 MiB
+    tracemalloc.start()
+    try:
+        report = verify.run_suite("circle", N_values=[2047])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak < 2**20, peak
