@@ -258,6 +258,7 @@ def test_rejected_grid_names_the_reason(capsys):
         ["verify", "superhyp", "--tol", "0"],
         ["verify", "addition", "--trials", "0"],
         ["eval", "superhyp", "--y", "1"],
+        ["bench", "circulant-exp-dense", "--n", "4"],
         ["verify", "mixed", "--trials", "2.7"],
     ],
 )
