@@ -371,8 +371,8 @@ def convergence_study(N_list, x: float, w: complex, order: int) -> list[Converge
     nonincreasing; the raw values bottom out at rounding level.
     """
     N_list = [require_half_width(N) for N in N_list]
-    if any(b <= a for a, b in zip(N_list, N_list[1:])):
-        raise DomainError(f"invalid-argument: N_list must be increasing, got {N_list}")
+    if not N_list or any(b <= a for a, b in zip(N_list, N_list[1:])):
+        raise DomainError(f"invalid-argument: N_list must be nonempty and increasing, got {N_list}")
     order = require_int(order, "order", -min(N_list), min(N_list))
     x = require_x(x, X_MAX)
     floor = RESOLUTION_EPS_FACTOR * _EPS * math.exp(unit_scale(x, w))

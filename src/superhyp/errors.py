@@ -20,7 +20,9 @@ MAX_ORDER = 100_000
 # Most points in one CLI grid; a range's count is checked before its list is built.
 MAX_GRID_POINTS = 10_000
 # Most entries per row times rows that a call over a 1-D array of x may
-# request: the largest CLI grid at the largest level.
+# request: the largest CLI grid at the largest level.  A row counts the
+# entries the call keeps for all of its rows; the working arrays of a
+# block (hyperbolic.block_rows) are bounded there, not here.
 MAX_BATCH = MAX_GRID_POINTS * MAX_LEVEL
 # Bound on max(|w|, 1/|w|) and on |x| * max(|w|, 1/|w|) for the generating
 # function exp((x/2)(w + 1/w)) and its matrix and lattice forms.

@@ -30,9 +30,13 @@ The series, filter and residual functions (`series_column`,
 or as a 1-D array of T points.  A float gives the per-point shape, an
 array one row per point, and row t is bit for bit the call at point t:
 the rows share one series pass, one FFT and one stack of circulants,
-so a grid costs one call instead of T.  The series pass works on
-block_rows(n) rows at a time (BLOCK entries); an array whose points
-times the entries each needs exceeds errors.MAX_BATCH is a DomainError.
+so a grid costs one call instead of T.  Each kernel takes its points
+in blocks of block_rows(width) rows (BLOCK entries), through the one
+block loop `_blocked`: width n for the series and filter columns, n^2
+for the circulant stacks of the residuals, so a call's working arrays
+hold O(BLOCK + n^2) entries beyond its result.  An array whose points
+times the entries each keeps for the whole call exceeds errors.MAX_BATCH
+is a DomainError.
 
 Error model: for x >= 0 every series term is nonnegative and the sums
 are accurate to relative machine precision.  For x < 0 the partial sums
@@ -94,9 +98,24 @@ def block_rows(width: int) -> int:
     return max(1, BLOCK // width)
 
 
-def _rows_like(x, rows: np.ndarray) -> np.ndarray:
-    # row 0 for a scalar x, all rows for a 1-D x
-    return rows[0] if np.ndim(x) == 0 else rows
+def _blocked(fn, width: int, *points) -> np.ndarray:
+    """fn on the points (x, or x and y), block_rows(width) rows at a time.
+
+    The one block loop of the batched kernels.  The points are validated
+    floats, or 1-D arrays of one length; fn takes a 1-D block of each and
+    returns one row per point.  Row t of the result is fn's row for point
+    t, and floats give that one row.  Points that fit in one block (floats
+    among them) give fn's own result, without a copy.
+    """
+    rows = [np.atleast_1d(p) for p in points]
+    size, step = len(rows[0]), block_rows(width)
+    out = fn(*(r[:step] for r in rows))
+    if size > step:
+        first, out = out, np.empty((size, *out.shape[1:]), out.dtype)
+        out[:step] = first
+        for start in range(step, size, step):
+            out[start : start + step] = fn(*(r[start : start + step] for r in rows))
+    return out if isinstance(points[0], np.ndarray) else out[0]
 
 
 def series_column(n: int, x) -> np.ndarray:
@@ -115,35 +134,29 @@ def series_column(n: int, x) -> np.ndarray:
     rule run masked per (x, class), and the pass ends when no class is
     live.  A term that underflows needs no special step: every later term
     is a signed zero, which meets the stop rule at its class's next
-    update.  The x are taken block_rows(n) at a time, so the working
-    arrays beyond the result hold O(BLOCK) entries.  This is the FFT-free
-    reference for filter_column.
+    update.  The x are taken in blocks of width n (_blocked), so the
+    working arrays beyond the result hold O(BLOCK) entries.  This is the
+    FFT-free reference for filter_column.
     """
     n = require_level(n)
     x = require_xs(x, X_MAX, n)
-    rows = np.atleast_1d(x)
-    out = np.empty((rows.size, n))
-    step = block_rows(n)
-    for start in range(0, rows.size, step):
-        _series_block(rows[start : start + step, None], out[start : start + step])
-    return _rows_like(x, out)
+    return _blocked(lambda xs: _series_block(n, xs[:, None]), n, x)
 
 
-def _series_block(x: np.ndarray, total: np.ndarray) -> None:
-    # the pass of series_column for x of shape (rows, 1), written into total (rows, n)
-    n = total.shape[1]
+def _series_block(n: int, x: np.ndarray) -> np.ndarray:
+    # the pass of series_column for x of shape (rows, 1), as (rows, n)
     m = np.arange(n, dtype=float)  # term indices of the current period
-    terms = np.empty_like(total)
+    terms = np.empty((len(x), n))
     terms[:, 0] = 1.0
     np.divide(x, m[1:], out=terms[:, 1:])
     np.multiply.accumulate(terms, axis=1, out=terms)
-    total[...] = terms  # period 0: the leading term of each class
+    total = terms.copy()  # period 0: the leading term of each class
     comp = np.zeros_like(total)
     live = np.ones(total.shape, dtype=bool)
     ratios, y, s, c = (np.empty_like(total) for _ in range(4))
     stop = np.empty_like(live)
     absx = np.abs(x)
-    growing = float(absx.max())
+    growing = float(absx.max(initial=0.0))  # 0.0 for no rows
     while live.any():
         m += n
         np.divide(x, m, out=ratios)
@@ -163,6 +176,7 @@ def _series_block(x: np.ndarray, total: np.ndarray) -> None:
         if m[0] < growing:
             stop &= m >= absx
         live &= ~stop
+    return total
 
 
 def c_series(n: int, j: int, x: float) -> float:
@@ -176,11 +190,13 @@ def filter_column(n: int, x) -> np.ndarray:
 
     This is the first column of exp(x * shift).  The imaginary parts are
     pure rounding residue and should stay below about 1e-10 * exp(|x|).
-    A 1-D x gives one row per x, all from one FFT along the rows.
+    A 1-D x gives one row per x, from one FFT along the rows of each block
+    of width n (_blocked).
     """
     n = require_level(n)
     x = require_xs(x, X_MAX, n)
-    return circulant_column(np.exp(np.multiply.outer(x, roots_of_unity(n))))
+    roots = roots_of_unity(n)
+    return _blocked(lambda xs: circulant_column(np.exp(np.multiply.outer(xs, roots))), n, x)
 
 
 def c_filter_complex(n: int, j: int, x: float) -> complex:
@@ -300,15 +316,16 @@ def polynomial_identity_residual(n: int, x) -> float | np.ndarray:
     return np.abs(polynomial_identity(n, series_column(n, x)) - 1.0)
 
 
-def _pair_rows(n: int, x, y) -> tuple[int, np.ndarray, np.ndarray]:
-    # n and the rows of x and y (|.| <= 10): both floats, or 1-D of one length;
-    # a row takes n^2 entries of circulant and 3n of series
+def _pair_rows(n: int, x, y) -> tuple[int, float | np.ndarray, float | np.ndarray]:
+    # n, x and y (|.| <= 10): both floats, or 1-D of one length; the cap counts
+    # the 3n series entries of a point, as its n^2 circulant entries live only
+    # within its block of width n^2 (_blocked)
     n = require_level(n)
-    x = require_xs(x, 10.0, n * (n + 3))
-    y = require_xs(y, 10.0, n * (n + 3))
+    x = require_xs(x, 10.0, 3 * n)
+    y = require_xs(y, 10.0, 3 * n)
     if np.shape(x) != np.shape(y):
         raise DomainError(f"invalid-grid: need x and y of one shape, got {np.shape(x)} and {np.shape(y)}")
-    return n, np.atleast_1d(x), np.atleast_1d(y)
+    return n, x, y
 
 
 def addition_residual(n: int, x, y) -> np.ndarray:
@@ -316,15 +333,20 @@ def addition_residual(n: int, x, y) -> np.ndarray:
 
     The right side is the cyclic convolution of the series columns at x
     and y, i.e. the circulant of c(y) applied to c(x).  Floats x, y give
-    shape (n,); 1-D x, y of length T give (T, n) from one series call,
-    with T dense circulants (T * n^2 entries, contiguous copies of
-    algebra.circulant's views) for the products.
+    shape (n,); 1-D x, y of length T give (T, n), one series call per
+    block of width n^2 (_blocked), whose products use dense circulants
+    (contiguous copies of algebra.circulant's views): O(BLOCK + n^2)
+    circulant entries at once, never T * n^2.
     """
-    n, xs, ys = _pair_rows(n, x, y)
-    cx, cy, cxy = np.split(series_column(n, np.concatenate((xs, ys, xs + ys))), 3)
-    # a contiguous copy of the circulant view keeps BLAS's summation order
-    conv = (np.ascontiguousarray(circulant(cy)) @ cx[:, :, None])[:, :, 0]
-    return _rows_like(x, np.abs(cxy - conv))
+    n, x, y = _pair_rows(n, x, y)
+
+    def block(xs, ys):
+        cx, cy, cxy = np.split(series_column(n, np.concatenate((xs, ys, xs + ys))), 3)
+        # a contiguous copy of the circulant view keeps BLAS's summation order
+        conv = (np.ascontiguousarray(circulant(cy)) @ cx[:, :, None])[:, :, 0]
+        return np.abs(cxy - conv)
+
+    return _blocked(block, n * n, x, y)
 
 
 def mixed_product_residual(n: int, x, y) -> np.ndarray:
@@ -337,9 +359,13 @@ def mixed_product_residual(n: int, x, y) -> np.ndarray:
     rounding-level before the real parts are compared.  Shapes and memory
     as in addition_residual.
     """
-    n, xs, ys = _pair_rows(n, x, y)
-    cx, cy = np.split(series_column(n, np.concatenate((xs, ys))), 2)
+    n, x, y = _pair_rows(n, x, y)
     roots = roots_of_unity(n)
-    rhs = circulant_column(np.exp(np.multiply.outer(xs, roots) + np.multiply.outer(ys, np.conj(roots))))
-    lhs = (cx[:, None, :] @ np.ascontiguousarray(circulant(cy)))[:, 0, :]
-    return _rows_like(x, np.abs(lhs - _real_column(rhs, np.exp(np.abs(xs) + np.abs(ys)))))
+
+    def block(xs, ys):
+        cx, cy = np.split(series_column(n, np.concatenate((xs, ys))), 2)
+        rhs = circulant_column(np.exp(np.multiply.outer(xs, roots) + np.multiply.outer(ys, np.conj(roots))))
+        lhs = (cx[:, None, :] @ np.ascontiguousarray(circulant(cy)))[:, 0, :]
+        return np.abs(lhs - _real_column(rhs, np.exp(np.abs(xs) + np.abs(ys))))
+
+    return _blocked(block, n * n, x, y)

@@ -1,7 +1,8 @@
 """Grid-driven verification suites with machine-readable reports.
 
 Each suite evaluates one family of residual checks over a parameter
-grid and returns a VerificationReport.  Default grids and tolerances
+grid and returns its params and cases; run_suite times it and wraps
+them in a VerificationReport.  Default grids and tolerances
 live in the two catalogs below so there is a single audit point; a
 caller-supplied tolerance replaces the per-check base values (scale
 factors such as exp(|x|) still apply where documented).
@@ -27,8 +28,6 @@ from .errors import (
     require_order,
     require_x,
 )
-
-SUITE_NAMES = ("pauli", "superhyp", "addition", "mixed", "bessel", "genmatrix", "circle")
 
 DEFAULT_GRIDS = {
     "pauli_n": tuple(range(2, 17)),
@@ -63,8 +62,11 @@ class CaseResult:
     inputs: dict
     residual: float
     tolerance: float
-    passed: bool
     details: dict = field(default_factory=dict)
+
+    @property
+    def passed(self) -> bool:
+        return self.residual <= self.tolerance
 
 
 @dataclass
@@ -72,9 +74,15 @@ class VerificationReport:
     suite: str
     params: dict
     cases: list
-    max_residual: float
-    passed: bool
     wall_time_ms: float
+
+    @property
+    def max_residual(self) -> float:
+        return max((c.residual for c in self.cases), default=0.0)
+
+    @property
+    def passed(self) -> bool:
+        return all(c.passed for c in self.cases)
 
     def to_payload(self) -> dict:
         cases = []
@@ -103,10 +111,13 @@ def complex_payload(z: complex) -> dict:
 
 
 def _grid(values, key: str, check) -> list:
-    """The caller's grid, or DEFAULT_GRIDS[key] when it is None, each point through `check`."""
+    """The caller's grid, or DEFAULT_GRIDS[key] when it is None, each point through `check`.
+
+    A grid holds 1..MAX_GRID_POINTS points, the cap of a command-line grid.
+    """
     values = DEFAULT_GRIDS[key] if values is None else values
-    if len(values) == 0:
-        raise DomainError(f"invalid-grid: the {key} grid is empty")
+    if not 0 < len(values) <= MAX_GRID_POINTS:
+        raise DomainError(f"invalid-grid: the {key} grid needs 1 to {MAX_GRID_POINTS} points, got {len(values)}")
     return [check(v) for v in values]
 
 
@@ -123,25 +134,6 @@ def _trials_seed(trials, key: str, seed) -> tuple[int, int]:
     )
 
 
-def _blocks(values, rows: int):
-    """(index of the first item, slice) for consecutive slices of at most `rows` items."""
-    for start in range(0, len(values), rows):
-        yield start, values[start : start + rows]
-
-
-def _trial_blocks(rng, trials: int, n: int):
-    """(first trial, (xs, ys)) per block of a level's seeded points in [-3, 3]^2.
-
-    All of the level's points come from one draw of shape (trials, 2),
-    the same stream as one draw of 2 per trial.  A block holds at most
-    hyperbolic.block_rows(n * n) trials, so the residual call for it
-    builds O(BLOCK + n^2) circulant entries.
-    """
-    points = rng.uniform(-3.0, 3.0, size=(trials, 2))
-    for start, block in _blocks(points, hyperbolic.block_rows(n * n)):
-        yield start, block.T
-
-
 def _tols(suite: str, tol):
     base = dict(DEFAULT_TOLERANCES[suite])
     if tol is not None:
@@ -156,132 +148,87 @@ def _case(inputs, residual, tolerance, **details) -> CaseResult:
         inputs=inputs,
         residual=residual,
         tolerance=tolerance,
-        passed=residual <= tolerance,
         details={k: v for k, v in details.items() if v is not None},
     )
 
 
-def _finish(suite: str, params: dict, cases: list, started: float) -> VerificationReport:
-    return VerificationReport(
-        suite=suite,
-        params=params,
-        cases=cases,
-        max_residual=max((c.residual for c in cases), default=0.0),
-        passed=all(c.passed for c in cases),
-        wall_time_ms=(time.perf_counter() - started) * 1e3,
-    )
-
-
-def verify_pauli(n_values=None, tol=None) -> VerificationReport:
+def verify_pauli(n_values=None, tol=None) -> tuple[dict, list]:
     """Defining clock/shift relations over a range of levels."""
-    started = time.perf_counter()
     n_values = _grid(n_values, "pauli_n", require_level)
     t = _tols("pauli", tol)
     cases = []
     for n in n_values:
         for relation, residual in algebra.pauli_residuals(n).items():
             cases.append(_case({"n": n, "relation": relation}, residual, t["relations"]))
-    return _finish("pauli", {"n_values": n_values, "tol": t}, cases, started)
+    return {"n_values": n_values, "tol": t}, cases
 
 
-def verify_superhyp(n_values=None, x_values=None, tol=None) -> VerificationReport:
+def verify_superhyp(n_values=None, x_values=None, tol=None) -> tuple[dict, list]:
     """Determinant identity, printed polynomials, and series/filter agreement."""
-    started = time.perf_counter()
     n_values = _grid(n_values, "superhyp_n", require_level)
     x_values = _grid(x_values, "superhyp_x", _x)
     t = _tols("superhyp", tol)
     cases = []
     for n in n_values:
-        for _, xs in _blocks(x_values, hyperbolic.block_rows(n)):
-            series = hyperbolic.series_column(n, xs)
-            spreads = np.abs(series - hyperbolic.filter_column(n, xs).real).max(axis=1)
+        series = hyperbolic.series_column(n, x_values)
+        spreads = np.abs(series - hyperbolic.filter_column(n, x_values).real).max(axis=1)
+        if n in hyperbolic.POLY_IDENTITY_MONOMIALS:
+            polys = np.abs(hyperbolic.polynomial_identity(n, series) - 1.0)
+        for i, x in enumerate(x_values):
+            det_res = hyperbolic.fundamental_identity_residual(n, x)
+            cases.append(_case({"n": n, "x": x, "check": "identity"}, det_res, t["identity"]))
             if n in hyperbolic.POLY_IDENTITY_MONOMIALS:
-                polys = np.abs(hyperbolic.polynomial_identity(n, series) - 1.0)
-            for i, x in enumerate(xs):
-                det_res = hyperbolic.fundamental_identity_residual(n, x)
-                cases.append(_case({"n": n, "x": x, "check": "identity"}, det_res, t["identity"]))
-                if n in hyperbolic.POLY_IDENTITY_MONOMIALS:
-                    cases.append(
-                        _case({"n": n, "x": x, "check": "polynomial"}, polys[i], t["polynomial"])
-                    )
-                    cases.append(
-                        _case(
-                            {"n": n, "x": x, "check": "agreement"},
-                            abs(polys[i] - det_res),
-                            t["agreement"],
-                        )
-                    )
+                cases.append(_case({"n": n, "x": x, "check": "polynomial"}, polys[i], t["polynomial"]))
                 cases.append(
-                    _case(
-                        {"n": n, "x": x, "check": "cross_method"},
-                        spreads[i],
-                        t["cross_method"] * math.exp(abs(x)),
-                    )
+                    _case({"n": n, "x": x, "check": "agreement"}, abs(polys[i] - det_res), t["agreement"])
                 )
-    return _finish(
-        "superhyp", {"n_values": n_values, "x_values": x_values, "tol": t}, cases, started
-    )
+            cases.append(
+                _case(
+                    {"n": n, "x": x, "check": "cross_method"},
+                    spreads[i],
+                    t["cross_method"] * math.exp(abs(x)),
+                )
+            )
+    return {"n_values": n_values, "x_values": x_values, "tol": t}, cases
 
 
-def verify_addition(n_values=None, trials=None, seed=0, tol=None) -> VerificationReport:
+def verify_addition(n_values=None, trials=None, seed=0, tol=None) -> tuple[dict, list]:
     """Addition formulas on seeded random points in [-3, 3]^2."""
-    started = time.perf_counter()
     n_values = _grid(n_values, "addition_n", require_level)
     trials, seed = _trials_seed(trials, "addition_trials", seed)
     t = _tols("addition", tol)
     rng = np.random.default_rng(seed)
     cases = []
     for n in n_values:
-        for start, (xs, ys) in _trial_blocks(rng, trials, n):
-            residuals = hyperbolic.addition_residual(n, xs, ys).max(axis=1)
-            for trial, (x, y, residual) in enumerate(zip(xs.tolist(), ys.tolist(), residuals.tolist()), start):
-                cases.append(
-                    _case(
-                        {"n": n, "trial": trial, "x": x, "y": y},
-                        residual,
-                        t["addition"],
-                    )
-                )
-    return _finish(
-        "addition",
-        {"n_values": n_values, "trials": trials, "seed": seed, "tol": t},
-        cases,
-        started,
-    )
+        # one draw of shape (trials, 2): the same stream as one draw of 2 per trial
+        xs, ys = rng.uniform(-3.0, 3.0, size=(trials, 2)).T
+        residuals = hyperbolic.addition_residual(n, xs, ys).max(axis=1)
+        for trial, (x, y, residual) in enumerate(zip(xs.tolist(), ys.tolist(), residuals.tolist())):
+            cases.append(_case({"n": n, "trial": trial, "x": x, "y": y}, residual, t["addition"]))
+    return {"n_values": n_values, "trials": trials, "seed": seed, "tol": t}, cases
 
 
-def verify_mixed(n_values=None, trials=None, seed=0, tol=None) -> VerificationReport:
+def verify_mixed(n_values=None, trials=None, seed=0, tol=None) -> tuple[dict, list]:
     """Mixed bilinear relations, all class indices, seeded random points."""
-    started = time.perf_counter()
     n_values = _grid(n_values, "mixed_n", require_level)
     trials, seed = _trials_seed(trials, "mixed_trials", seed)
     t = _tols("mixed", tol)
     rng = np.random.default_rng(seed)
     cases = []
     for n in n_values:
-        for start, (xs, ys) in _trial_blocks(rng, trials, n):
-            rows = hyperbolic.mixed_product_residual(n, xs, ys)
-            for trial, (x, y, row) in enumerate(zip(xs.tolist(), ys.tolist(), rows.tolist()), start):
-                scale = math.exp(abs(x) + abs(y))
-                for j, residual in enumerate(row):
-                    cases.append(
-                        _case(
-                            {"n": n, "trial": trial, "j": j, "x": x, "y": y},
-                            residual,
-                            t["mixed"] * scale,
-                        )
-                    )
-    return _finish(
-        "mixed",
-        {"n_values": n_values, "trials": trials, "seed": seed, "tol": t},
-        cases,
-        started,
-    )
+        xs, ys = rng.uniform(-3.0, 3.0, size=(trials, 2)).T
+        rows = hyperbolic.mixed_product_residual(n, xs, ys)
+        for trial, (x, y, row) in enumerate(zip(xs.tolist(), ys.tolist(), rows.tolist())):
+            scale = math.exp(abs(x) + abs(y))
+            for j, residual in enumerate(row):
+                cases.append(
+                    _case({"n": n, "trial": trial, "j": j, "x": x, "y": y}, residual, t["mixed"] * scale)
+                )
+    return {"n_values": n_values, "trials": trials, "seed": seed, "tol": t}, cases
 
 
-def verify_bessel(x_values=None, kmax=None, w_values=None, tol=None) -> VerificationReport:
+def verify_bessel(x_values=None, kmax=None, w_values=None, tol=None) -> tuple[dict, list]:
     """Classical summation identities, three-term recurrence, generating function."""
-    started = time.perf_counter()
     x_values = _grid(x_values, "bessel_x", _x)
     if kmax is not None:
         kmax = require_order(kmax)
@@ -323,17 +270,12 @@ def verify_bessel(x_values=None, kmax=None, w_values=None, tol=None) -> Verifica
                     t["generating_function"] * math.exp(2 * abs(x)),
                 )
             )
-    return _finish(
-        "bessel",
-        {"x_values": x_values, "kmax": max(orders), "w_values": [complex_payload(w) for w in w_values], "tol": t},
-        cases,
-        started,
-    )
+    params = {"x_values": x_values, "kmax": max(orders), "w_values": [complex_payload(w) for w in w_values], "tol": t}
+    return params, cases
 
 
-def verify_genmatrix(n_values=None, x_values=None, w_values=None, tol=None) -> VerificationReport:
+def verify_genmatrix(n_values=None, x_values=None, w_values=None, tol=None) -> tuple[dict, list]:
     """Three-way agreement of the trace projections, plus class completeness."""
-    started = time.perf_counter()
     n_values = _grid(n_values, "genmatrix_n", require_level)
     x_values = _grid(x_values, "genmatrix_x", _x)
     w_values = _grid(w_values, "w_values", complex)
@@ -376,26 +318,21 @@ def verify_genmatrix(n_values=None, x_values=None, w_values=None, tol=None) -> V
                         t["completeness"] * scale,
                     )
                 )
-    return _finish(
-        "genmatrix",
-        {
-            "n_values": n_values,
-            "x_values": x_values,
-            "w_values": [complex_payload(w) for w in w_values],
-            "tol": t,
-        },
-        cases,
-        started,
-    )
+    params = {
+        "n_values": n_values,
+        "x_values": x_values,
+        "w_values": [complex_payload(w) for w in w_values],
+        "tol": t,
+    }
+    return params, cases
 
 
-def verify_circle(N_values=None, mode=None, alphas=None, tol=None) -> VerificationReport:
+def verify_circle(N_values=None, mode=None, alphas=None, tol=None) -> tuple[dict, list]:
     """Integer commutator accounting, gauge invariance, shift isometry, Weyl pair.
 
     Every check reads the O(N) band of the lattice: no (2N+1)^2 matrix
     is built.  mode=None runs both modes.
     """
-    started = time.perf_counter()
     N_values = _grid(N_values, "circle_N", require_half_width)
     modes = list(circle.MODES) if mode is None else [mode]
     alphas = _grid(alphas, "circle_alphas", float)
@@ -463,12 +400,7 @@ def verify_circle(N_values=None, mode=None, alphas=None, tol=None) -> Verificati
                     covariance_defect=covariance,
                 )
             )
-    return _finish(
-        "circle",
-        {"N_values": N_values, "modes": modes, "alphas": alphas, "tol": t},
-        cases,
-        started,
-    )
+    return {"N_values": N_values, "modes": modes, "alphas": alphas, "tol": t}, cases
 
 
 SUITES = {
@@ -480,10 +412,13 @@ SUITES = {
     "genmatrix": verify_genmatrix,
     "circle": verify_circle,
 }
+SUITE_NAMES = tuple(SUITES)
 
 
 def run_suite(suite: str, **kwargs) -> VerificationReport:
-    """Run one named suite; unknown keyword arguments are rejected."""
+    """Run one named suite and time it into a report; unknown keyword arguments are rejected."""
     if suite not in SUITES:
         raise KeyError(f"unknown suite {suite!r}, expected one of {SUITE_NAMES}")
-    return SUITES[suite](**kwargs)
+    started = time.perf_counter()
+    params, cases = SUITES[suite](**kwargs)
+    return VerificationReport(suite, params, cases, (time.perf_counter() - started) * 1e3)

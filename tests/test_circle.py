@@ -254,6 +254,8 @@ def test_convergence_study_flags_boundary_limited_points():
 
 def test_convergence_study_guards():
     with pytest.raises(DomainError):
+        circle.convergence_study([], 1.0, 1.0, 0)
+    with pytest.raises(DomainError):
         circle.convergence_study([10, 10], 1.0, 1.0, 0)
     with pytest.raises(DomainError):
         circle.convergence_study([5, 10], 1.0, 1.0, 6)

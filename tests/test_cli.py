@@ -1,4 +1,5 @@
 import contextlib
+import inspect
 import io
 import json
 import math
@@ -199,6 +200,12 @@ def test_verify_bessel_default_truncation_follows_x(capsys):
 def test_flag_the_suite_does_not_take_is_usage_error(argv, capsys):
     assert cli.main(argv) == 2
     assert f"error: suite {argv[1]} takes no {argv[2]}" in capsys.readouterr().err
+
+
+def test_every_suite_keyword_has_a_verify_flag():
+    # cmd_verify reads each suite's keywords through inspect.signature
+    for suite, run in verify.SUITES.items():
+        assert set(inspect.signature(run).parameters) <= set(cli.SUITE_KEYWORDS.values()), suite
 
 
 def test_targets_without_flags_keep_their_defaults(capsys):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from superhyp import algebra, bessel, circle, cli, genmatrix, hyperbolic
 from superhyp.errors import (
     ARG_MAX,
+    MAX_BATCH,
     MAX_GRID_POINTS,
     MAX_LEVEL,
     MAX_ORDER,
@@ -130,17 +131,20 @@ def test_size_caps_raise_before_allocating():
     # a 1-D x is capped by the entries per point it asks for
     with pytest.raises(DomainError):
         hyperbolic.series_column(MAX_LEVEL, np.zeros(MAX_GRID_POINTS + 1))
+    # a residual row keeps 3n series entries; its n^2 circulant lives in one block
+    points = np.zeros(MAX_BATCH // (3 * MAX_LEVEL) + 1)
     with pytest.raises(DomainError):
-        hyperbolic.addition_residual(MAX_LEVEL, np.zeros(3), np.zeros(3))
+        hyperbolic.addition_residual(MAX_LEVEL, points, points)
 
 
 def test_sizes_in_use_stay_admitted():
     assert require_level(2048) == 2048
     assert require_order(2000) == 2000
     assert require_half_width(200) == 200
-    # the largest CLI grid at the largest level, and a residual block there
+    # the largest CLI grid at the largest level, and the most residual points there
     assert require_xs(np.zeros(MAX_GRID_POINTS), 700.0, MAX_LEVEL).shape == (MAX_GRID_POINTS,)
-    assert require_xs(np.zeros(2), 10.0, MAX_LEVEL * (MAX_LEVEL + 3)).shape == (2,)
+    most = MAX_BATCH // (3 * MAX_LEVEL)
+    assert require_xs(np.zeros(most), 10.0, 3 * MAX_LEVEL).shape == (most,)
 
 
 def test_grid_cap_is_checked_on_the_count():

@@ -65,12 +65,33 @@ def test_series_column_is_the_per_class_loop_bit_for_bit(n):
 
 @pytest.mark.parametrize("n", [2, 5, 64])
 def test_series_column_blocks_do_not_change_rows(monkeypatch, n):
+    # every batched kernel, in blocks of 3, 3, 3 and 2 rows against one block
     xs = np.linspace(-30.0, 30.0, 11)
-    whole = hyperbolic.series_column(n, xs)
-    monkeypatch.setattr(hyperbolic, "BLOCK", 3 * n)  # blocks of 3, 3, 3 and 2 rows
-    assert hyperbolic.block_rows(n) == 3
-    assert hyperbolic.series_column(n, xs).tobytes() == whole.tobytes()
+    pair = (xs / 3.0, np.linspace(2.5, -3.0, 11))
+    for kernel, width, args in (
+        (hyperbolic.series_column, n, (xs,)),
+        (hyperbolic.filter_column, n, (xs,)),
+        (hyperbolic.addition_residual, n * n, pair),
+        (hyperbolic.mixed_product_residual, n * n, pair),
+    ):
+        whole = kernel(n, *args)
+        with monkeypatch.context() as patch:
+            patch.setattr(hyperbolic, "BLOCK", 3 * width)
+            assert hyperbolic.block_rows(width) == 3
+            assert kernel(n, *args).tobytes() == whole.tobytes(), kernel.__name__
     assert hyperbolic.series_column(n, []).shape == (0, n)
+
+
+def test_residual_blocks_bound_the_circulant_stack():
+    # 30 contiguous 1024 x 1024 circulants would take 240 MiB; a block holds one
+    xs = np.linspace(-3.0, 3.0, 30)
+    tracemalloc.start()
+    try:
+        hyperbolic.addition_residual(1024, xs, xs[::-1])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 1024**2 * 8, peak
 
 
 def test_c_series_is_an_entry_of_the_column():

@@ -29,6 +29,7 @@ from superhyp.errors import MAX_GRID_POINTS, DomainError
         ("addition", {"seed": 1.9}),
         ("mixed", {"seed": -1}),
         ("circle", {"mode": ""}),
+        ("superhyp", {"n_values": [2], "x_values": [0.5] * (MAX_GRID_POINTS + 1)}),
     ],
 )
 def test_grids_go_through_the_shared_validators(suite, kwargs):
@@ -77,6 +78,18 @@ def _payload_cases(report):
     return report.to_payload()["cases"]
 
 
+@pytest.mark.parametrize("suite", ["superhyp", "addition", "mixed"])
+def test_kernel_blocks_do_not_change_the_report(monkeypatch, suite):
+    def payload():
+        doc = verify.run_suite(suite).to_payload()
+        del doc["wall_time_ms"]
+        return doc
+
+    whole = payload()
+    monkeypatch.setattr(hyperbolic, "BLOCK", 1)  # one row per block in every kernel
+    assert payload() == whole
+
+
 def _rounding(n, x, y):
     return 16 * n * np.finfo(float).eps * math.exp(abs(x) + abs(y))
 
@@ -99,7 +112,7 @@ def _per_trial_cases(suite, seed, trials):
                 assert np.abs(residual - _loop_mixed_residual(n, x, y)).max() <= _rounding(n, x, y)
                 for j, r in enumerate(residual):
                     cases.append(verify._case({**inputs, "j": j}, r, tol * math.exp(abs(x) + abs(y))))
-    return _payload_cases(verify._finish(suite, {}, cases, 0.0))
+    return _payload_cases(verify.VerificationReport(suite, {}, cases, 0.0))
 
 
 @pytest.mark.parametrize("suite", ["addition", "mixed"])
@@ -138,7 +151,7 @@ def test_batched_superhyp_equals_the_per_point_loop():
                     {"n": n, "x": x, "check": "cross_method"}, spread, tol["cross_method"] * math.exp(abs(x))
                 )
             )
-    assert _payload_cases(report) == _payload_cases(verify._finish("superhyp", {}, cases, 0.0))
+    assert _payload_cases(report) == _payload_cases(verify.VerificationReport("superhyp", {}, cases, 0.0))
 
 
 def _circle_key(case):
