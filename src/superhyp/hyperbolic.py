@@ -25,18 +25,17 @@ multiplying its eigenvalues, whose product is 1 by construction.  Tests
 also compare `exp_circulant` with the dense `algebra.mat_exp`.
 
 The series, filter and residual functions (`series_column`,
-`filter_column`, `c_all`, `polynomial_identity_residual`,
+`filter_column`, `c_all`, `series_residuals`, `polynomial_identity_residual`,
 `addition_residual`, `mixed_product_residual`) take x (and y) as a float
 or as a 1-D array of T points.  A float gives the per-point shape, an
 array one row per point, and row t is bit for bit the call at point t:
 the rows share one series pass, one FFT and one stack of circulants,
 so a grid costs one call instead of T.  Each kernel takes its points
-in blocks of block_rows(width) rows (BLOCK entries), through the one
-block loop `_blocked`: width n for the series and filter columns, n^2
-for the circulant stacks of the residuals, so a call's working arrays
-hold O(BLOCK + n^2) entries beyond its result.  An array whose points
-times the entries each keeps for the whole call exceeds errors.MAX_BATCH
-is a DomainError.
+block_rows(width) rows at a time through the one block loop `_blocked`
+(width n for series and filter columns, n^2 for the residuals'
+circulants), so its working arrays hold O(BLOCK + n^2) entries beyond
+its result.  An array whose points times the entries each keeps for the
+whole call exceeds errors.MAX_BATCH is a DomainError.
 
 Error model: for x >= 0 every series term is nonnegative and the sums
 are accurate to relative machine precision.  For x < 0 the partial sums
@@ -99,23 +98,22 @@ def block_rows(width: int) -> int:
 
 
 def _blocked(fn, width: int, *points) -> np.ndarray:
-    """fn on the points (x, or x and y), block_rows(width) rows at a time.
+    """fn on the points (floats, or 1-D arrays of one length), block_rows(width) rows at a time.
 
-    The one block loop of the batched kernels.  The points are validated
-    floats, or 1-D arrays of one length; fn takes a 1-D block of each and
-    returns one row per point.  Row t of the result is fn's row for point
-    t, and floats give that one row.  Points that fit in one block (floats
-    among them) give fn's own result, without a copy.
+    fn maps 1-D blocks of the points to one row per point.  Floats give
+    fn's row for one-point arrays; arrays that fit in one block give fn's
+    own result, uncopied, and longer ones the rows of every block stacked.
     """
-    rows = [np.atleast_1d(p) for p in points]
-    size, step = len(rows[0]), block_rows(width)
-    out = fn(*(r[:step] for r in rows))
+    if not isinstance(points[0], np.ndarray):
+        return fn(*(np.array([p]) for p in points))[0]
+    size, step = len(points[0]), block_rows(width)
+    out = fn(*(p[:step] for p in points))
     if size > step:
         first, out = out, np.empty((size, *out.shape[1:]), out.dtype)
         out[:step] = first
         for start in range(step, size, step):
-            out[start : start + step] = fn(*(r[start : start + step] for r in rows))
-    return out if isinstance(points[0], np.ndarray) else out[0]
+            out[start : start + step] = fn(*(p[start : start + step] for p in points))
+    return out
 
 
 def series_column(n: int, x) -> np.ndarray:
@@ -316,13 +314,32 @@ def polynomial_identity_residual(n: int, x) -> float | np.ndarray:
     return np.abs(polynomial_identity(n, series_column(n, x)) - 1.0)
 
 
-def _pair_rows(n: int, x, y) -> tuple[int, float | np.ndarray, float | np.ndarray]:
-    # n, x and y (|.| <= 10): both floats, or 1-D of one length; the cap counts
-    # the 3n series entries of a point, as its n^2 circulant entries live only
-    # within its block of width n^2 (_blocked)
+def series_residuals(n: int, x) -> np.ndarray:
+    """What one series pass at x checks: max_j |series c_j - real filter c_j|, then |P_n - 1|.
+
+    The second column, the printed polynomial on the same series values,
+    is there for n in {2, 3, 4}.  A 1-D x gives one row per x; each block
+    of width n (_blocked) reduces its own columns, never held whole.
+    """
     n = require_level(n)
-    x = require_xs(x, 10.0, 3 * n)
-    y = require_xs(y, 10.0, 3 * n)
+    x = require_xs(x, X_MAX, 2)
+
+    def block(xs):
+        series = series_column(n, xs)
+        spread = np.abs(series - filter_column(n, xs).real).max(axis=1)
+        if n not in POLY_IDENTITY_MONOMIALS:
+            return spread[:, None]
+        return np.stack((spread, np.abs(polynomial_identity(n, series) - 1.0)), axis=1)
+
+    return _blocked(block, n, x)
+
+
+def _pair_rows(n: int, x, y) -> tuple[int, float | np.ndarray, float | np.ndarray]:
+    # n, x and y (|.| <= 10): both floats, or 1-D of one length; a point keeps n
+    # residuals, its series and circulant live only in its block (_blocked)
+    n = require_level(n)
+    x = require_xs(x, 10.0, n)
+    y = require_xs(y, 10.0, n)
     if np.shape(x) != np.shape(y):
         raise DomainError(f"invalid-grid: need x and y of one shape, got {np.shape(x)} and {np.shape(y)}")
     return n, x, y

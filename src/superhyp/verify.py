@@ -135,21 +135,12 @@ def _trials_seed(trials, key: str, seed) -> tuple[int, int]:
 
 
 def _tols(suite: str, tol):
-    base = dict(DEFAULT_TOLERANCES[suite])
-    if tol is not None:
-        base = {key: float(tol) for key in base}
-    return base
+    return {key: base if tol is None else float(tol) for key, base in DEFAULT_TOLERANCES[suite].items()}
 
 
 def _case(inputs, residual, tolerance, **details) -> CaseResult:
-    residual = float(residual)
-    tolerance = float(tolerance)
-    return CaseResult(
-        inputs=inputs,
-        residual=residual,
-        tolerance=tolerance,
-        details={k: v for k, v in details.items() if v is not None},
-    )
+    details = {k: v for k, v in details.items() if v is not None}
+    return CaseResult(inputs, float(residual), float(tolerance), details)
 
 
 def verify_pauli(n_values=None, tol=None) -> tuple[dict, list]:
@@ -170,22 +161,18 @@ def verify_superhyp(n_values=None, x_values=None, tol=None) -> tuple[dict, list]
     t = _tols("superhyp", tol)
     cases = []
     for n in n_values:
-        series = hyperbolic.series_column(n, x_values)
-        spreads = np.abs(series - hyperbolic.filter_column(n, x_values).real).max(axis=1)
-        if n in hyperbolic.POLY_IDENTITY_MONOMIALS:
-            polys = np.abs(hyperbolic.polynomial_identity(n, series) - 1.0)
-        for i, x in enumerate(x_values):
+        # per x: the cross-method spread, and the polynomial residual for n <= 4
+        rows = hyperbolic.series_residuals(n, x_values).tolist()
+        for x, (spread, *poly) in zip(x_values, rows):
             det_res = hyperbolic.fundamental_identity_residual(n, x)
             cases.append(_case({"n": n, "x": x, "check": "identity"}, det_res, t["identity"]))
-            if n in hyperbolic.POLY_IDENTITY_MONOMIALS:
-                cases.append(_case({"n": n, "x": x, "check": "polynomial"}, polys[i], t["polynomial"]))
-                cases.append(
-                    _case({"n": n, "x": x, "check": "agreement"}, abs(polys[i] - det_res), t["agreement"])
-                )
+            for p in poly:
+                cases.append(_case({"n": n, "x": x, "check": "polynomial"}, p, t["polynomial"]))
+                cases.append(_case({"n": n, "x": x, "check": "agreement"}, abs(p - det_res), t["agreement"]))
             cases.append(
                 _case(
                     {"n": n, "x": x, "check": "cross_method"},
-                    spreads[i],
+                    spread,
                     t["cross_method"] * math.exp(abs(x)),
                 )
             )

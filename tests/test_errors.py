@@ -131,8 +131,8 @@ def test_size_caps_raise_before_allocating():
     # a 1-D x is capped by the entries per point it asks for
     with pytest.raises(DomainError):
         hyperbolic.series_column(MAX_LEVEL, np.zeros(MAX_GRID_POINTS + 1))
-    # a residual row keeps 3n series entries; its n^2 circulant lives in one block
-    points = np.zeros(MAX_BATCH // (3 * MAX_LEVEL) + 1)
+    # a residual row keeps its n residuals; its series and circulant live in one block
+    points = np.zeros(MAX_BATCH // MAX_LEVEL + 1)
     with pytest.raises(DomainError):
         hyperbolic.addition_residual(MAX_LEVEL, points, points)
 
@@ -143,8 +143,8 @@ def test_sizes_in_use_stay_admitted():
     assert require_half_width(200) == 200
     # the largest CLI grid at the largest level, and the most residual points there
     assert require_xs(np.zeros(MAX_GRID_POINTS), 700.0, MAX_LEVEL).shape == (MAX_GRID_POINTS,)
-    most = MAX_BATCH // (3 * MAX_LEVEL)
-    assert require_xs(np.zeros(most), 10.0, 3 * MAX_LEVEL).shape == (most,)
+    most = MAX_BATCH // MAX_LEVEL
+    assert require_xs(np.zeros(most), 10.0, MAX_LEVEL).shape == (most,)
 
 
 def test_grid_cap_is_checked_on_the_count():

@@ -65,20 +65,22 @@ def test_series_column_is_the_per_class_loop_bit_for_bit(n):
 
 @pytest.mark.parametrize("n", [2, 5, 64])
 def test_series_column_blocks_do_not_change_rows(monkeypatch, n):
-    # every batched kernel, in blocks of 3, 3, 3 and 2 rows against one block
+    # every batched kernel, in blocks of 3, 3, 3 and 2 rows and of one row, against one block
     xs = np.linspace(-30.0, 30.0, 11)
     pair = (xs / 3.0, np.linspace(2.5, -3.0, 11))
     for kernel, width, args in (
         (hyperbolic.series_column, n, (xs,)),
         (hyperbolic.filter_column, n, (xs,)),
+        (hyperbolic.series_residuals, n, (xs,)),
         (hyperbolic.addition_residual, n * n, pair),
         (hyperbolic.mixed_product_residual, n * n, pair),
     ):
         whole = kernel(n, *args)
-        with monkeypatch.context() as patch:
-            patch.setattr(hyperbolic, "BLOCK", 3 * width)
-            assert hyperbolic.block_rows(width) == 3
-            assert kernel(n, *args).tobytes() == whole.tobytes(), kernel.__name__
+        for rows in (3, 1):
+            with monkeypatch.context() as patch:
+                patch.setattr(hyperbolic, "BLOCK", rows * width)
+                assert hyperbolic.block_rows(width) == rows
+                assert kernel(n, *args).tobytes() == whole.tobytes(), (kernel.__name__, rows)
     assert hyperbolic.series_column(n, []).shape == (0, n)
 
 
@@ -92,6 +94,29 @@ def test_residual_blocks_bound_the_circulant_stack():
     finally:
         tracemalloc.stop()
     assert peak < 3 * 1024**2 * 8, peak
+
+
+@pytest.mark.parametrize("n", [3, 256])
+def test_series_residuals_hold_no_whole_grid_column(monkeypatch, n):
+    # the grid's series and filter columns would take 24 B per point and class at once
+    xs = np.linspace(-3.0, 3.0, 2000)
+    want = []
+    for x in xs:
+        series = hyperbolic.series_column(n, x)
+        row = [np.abs(series - hyperbolic.filter_column(n, x).real).max()]
+        if n in hyperbolic.POLY_IDENTITY_MONOMIALS:
+            row.append(abs(hyperbolic.polynomial_identity(n, series) - 1.0))
+        want.append(row)
+    monkeypatch.setattr(hyperbolic, "BLOCK", 4 * n)
+    tracemalloc.start()
+    try:
+        got = hyperbolic.series_residuals(n, xs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.tobytes() == np.array(want).tobytes()
+    assert peak < 2000 * n * 8 + got.nbytes, peak
+    assert hyperbolic.series_residuals(n, float(xs[7])).tobytes() == got[7].tobytes()
 
 
 def test_c_series_is_an_entry_of_the_column():

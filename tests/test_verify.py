@@ -78,18 +78,6 @@ def _payload_cases(report):
     return report.to_payload()["cases"]
 
 
-@pytest.mark.parametrize("suite", ["superhyp", "addition", "mixed"])
-def test_kernel_blocks_do_not_change_the_report(monkeypatch, suite):
-    def payload():
-        doc = verify.run_suite(suite).to_payload()
-        del doc["wall_time_ms"]
-        return doc
-
-    whole = payload()
-    monkeypatch.setattr(hyperbolic, "BLOCK", 1)  # one row per block in every kernel
-    assert payload() == whole
-
-
 def _rounding(n, x, y):
     return 16 * n * np.finfo(float).eps * math.exp(abs(x) + abs(y))
 
