@@ -5,7 +5,9 @@ arrays, complex128 unless their values are real: mat_exp keeps a real
 argument float64, and circulant keeps the dtype of its column.  A
 circulant is a read-only strided view of O(n) entries, not a dense
 n x n copy; np.array(m) gives a writable one.  Comparisons throughout
-the package use the entrywise max norm.
+the package use the entrywise max norm.  The batched kernels of
+hyperbolic and genmatrix take their points through the one block loop
+here, `_blocked`, block_rows(width) rows at a time.
 """
 
 from __future__ import annotations
@@ -24,6 +26,8 @@ _INV_FACTORIAL = tuple(1.0 / math.factorial(k) for k in range(TAYLOR_ORDER + 1))
 _BLOCK_COEFFS = np.array([[_INV_FACTORIAL[4 * i + j] for j in (1, 2, 3)] for i in range(4)])
 _BLOCK_IDENTITY = _INV_FACTORIAL[0:16:4]
 _SQRT_TINY = math.sqrt(np.finfo(float).tiny)  # 2^-511, exactly
+# entries a batched kernel's working arrays hold per block of rows (block_rows)
+BLOCK = 2**16
 
 
 def max_abs(a) -> float:
@@ -45,6 +49,30 @@ def roots_of_unity(n: int) -> np.ndarray:
     """The n-th roots of unity s^k, k = 0..n-1, with s = exp(2*pi*i/n)."""
     n = require_level(n)
     return np.exp(2j * np.pi * np.arange(n) / n)
+
+
+def block_rows(width: int) -> int:
+    """Rows of `width` entries a batched kernel takes at once: BLOCK // width, at least one."""
+    return max(1, BLOCK // width)
+
+
+def _blocked(fn, width: int, *points) -> np.ndarray:
+    """fn on the points (floats, or 1-D arrays of one length), block_rows(width) rows at a time.
+
+    fn maps 1-D blocks of the points to one row per point.  Floats give
+    fn's row for one-point arrays; arrays that fit in one block give fn's
+    own result, uncopied, and longer ones the rows of every block stacked.
+    """
+    if not isinstance(points[0], np.ndarray):
+        return fn(*(np.array([p]) for p in points))[0]
+    size, step = len(points[0]), block_rows(width)
+    out = fn(*(p[:step] for p in points))
+    if size > step:
+        first, out = out, np.empty((size, *out.shape[1:]), out.dtype)
+        out[:step] = first
+        for start in range(step, size, step):
+            out[start : start + step] = fn(*(p[start : start + step] for p in points))
+    return out
 
 
 def circulant_column(eig) -> np.ndarray:
@@ -82,7 +110,7 @@ def circulant(col) -> np.ndarray:
         (*col.shape[:-1], n, n),
         rev.dtype,
         buffer=rev,
-        offset=(n - 1) * step,
+        offset=(n - 1) * step if rev.size else 0,  # an empty stack has no entry to offset into
         strides=(*rev.strides[:-1], -step, step),
     )
     view.flags.writeable = False
@@ -113,17 +141,24 @@ def dft_matrix(n: int) -> np.ndarray:
     return np.exp(-2j * np.pi * jk / n) / np.sqrt(n)
 
 
+def _diagonalization_defect(s1: np.ndarray, s3: np.ndarray, w: np.ndarray) -> float:
+    # max |shift - W clock W^dagger|, for matrices pauli_residuals has already built
+    return max_abs(s1 - w @ s3 @ w.conj().T)
+
+
 def diagonalize_shift_residual(n: int) -> float:
     """Max-norm residual of shift - W @ clock @ W^dagger."""
-    w = dft_matrix(n)
-    return max_abs(shift_matrix(n) - w @ clock_matrix(n) @ w.conj().T)
+    return _diagonalization_defect(shift_matrix(n), clock_matrix(n), dft_matrix(n))
 
 
-def _require_square_finite(a, what: str = "matrix") -> np.ndarray:
-    """a as a float64 array if it is real, else complex128, once it is square and finite."""
+def _require_square_finite(a, what: str = "matrix", stacked: bool = False) -> np.ndarray:
+    """a as a float64 array if it is real, else complex128, once it is square and finite.
+
+    stacked asks for a stack of square matrices, shape (T, n, n).
+    """
     a = np.asarray(a)
     a = np.asarray(a, dtype=complex if np.iscomplexobj(a) else float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
+    if a.ndim != 2 + stacked or a.shape[-1] != a.shape[-2] or a.shape[-1] < 1:
         raise DomainError(f"invalid-matrix: {what} must be square, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise DomainError(f"invalid-matrix: {what} has non-finite entries")
@@ -220,12 +255,18 @@ def _taylor_exp(a: np.ndarray) -> np.ndarray:
     return result
 
 
-def determinant(a) -> complex:
+def determinant(a) -> complex | np.ndarray:
     """Determinant via LAPACK's LU with partial pivoting (np.linalg.det).
 
     A real matrix is factored in real arithmetic.  Exact on permutation
-    matrices; an exactly singular matrix gives 0.
+    matrices; an exactly singular matrix gives 0.  A stack of matrices,
+    shape (T, n, n), gives their T determinants as an array (float64 for
+    real matrices), each bit for bit the call on its own matrix.  numpy
+    copies each matrix into LAPACK's layout, so a strided view (such as a
+    stack of circulant views) needs no dense copy of its own.
     """
+    if np.ndim(a) == 3:
+        return np.linalg.det(_require_square_finite(a, stacked=True))
     return complex(np.linalg.det(_require_square_finite(a)))
 
 
@@ -251,5 +292,5 @@ def pauli_residuals(n: int) -> dict[str, float]:
         "clock_order": max_abs(np.linalg.matrix_power(s3, n) - eye),
         "weyl": max_abs(s3 @ s1 - sigma * (s1 @ s3)),
         "unitary": max_abs(w @ w.conj().T - eye),
-        "diagonalization": diagonalize_shift_residual(n),
+        "diagonalization": _diagonalization_defect(s1, s3, w),
     }

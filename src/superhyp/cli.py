@@ -217,16 +217,17 @@ def _one(args, flag: str, where: str):
 
 def _rows_superhyp(args) -> tuple[list[str], list[list]]:
     n = _one(args, "n", "table superhyp")
-    header = ["x"] + [f"c{j}" for j in range(n)]
     xs = sorted(args.x)
-    values = hyperbolic.c_all(n, xs, args.method).values
+    values = hyperbolic.c_all(n, xs, args.method).values  # checks n before the header counts to it
+    header = ["x"] + [f"c{j}" for j in range(n)]
     return header, [[x] + row for x, row in zip(xs, values.tolist())]
 
 
 def _rows_identity(args) -> tuple[list[str], list[list]]:
     n = _one(args, "n", "table identity")
-    rows = [[x, hyperbolic.fundamental_identity_residual(n, x)] for x in sorted(args.x)]
-    return ["x", "residual"], rows
+    xs = sorted(args.x)
+    residuals = hyperbolic.fundamental_identity_residual(n, xs).tolist()
+    return ["x", "residual"], [[x, r] for x, r in zip(xs, residuals)]
 
 
 def _rows_bessel(args) -> tuple[list[str], list[list]]:

@@ -22,7 +22,7 @@ MAX_GRID_POINTS = 10_000
 # Most entries per row times rows that a call over a 1-D array of x may
 # request: the largest CLI grid at the largest level.  A row counts the
 # entries the call keeps for all of its rows; the working arrays of a
-# block (hyperbolic.block_rows) are bounded there, not here.
+# block (algebra.block_rows) are bounded there, not here.
 MAX_BATCH = MAX_GRID_POINTS * MAX_LEVEL
 # Bound on max(|w|, 1/|w|) and on |x| * max(|w|, 1/|w|) for the generating
 # function exp((x/2)(w + 1/w)) and its matrix and lattice forms.
@@ -60,6 +60,32 @@ def require_level(n) -> int:
 def require_index(j, n: int) -> int:
     """A residue index in 0..n-1."""
     return require_int(j, "index j", 0, n - 1)
+
+
+def require_indices(j, n: int):
+    """`j` through require_index, or a 1-D integer array of indices in 0..n-1.
+
+    An array holds at most MAX_BATCH indices; bools and any other input
+    raise DomainError.
+    """
+    if not isinstance(j, (np.ndarray, list, tuple)) or np.ndim(j) == 0:
+        return require_index(j, n)
+    try:
+        array = np.asarray(j)
+    except (TypeError, ValueError):  # e.g. a ragged list
+        array = None
+    if (
+        array is None
+        or array.ndim != 1
+        or array.dtype.kind not in "iu"
+        or array.size > MAX_BATCH
+        or not ((0 <= array) & (array < n)).all()
+    ):
+        raise DomainError(
+            f"invalid-integer: need j an index in [0, {n - 1}] or a 1-D array of at most {MAX_BATCH} of them,"
+            f" got {_short(j)}"
+        )
+    return array
 
 
 def require_order(k, minimum: int = 0) -> int:

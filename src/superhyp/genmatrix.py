@@ -8,10 +8,14 @@ routes: the trace of the matrix times a shift power, which for a
 circulant is one entry of its first column, built from one FFT
 (`generating_column`, `trace_projection`); the direct, FFT-free O(n)
 roots-of-unity sum `exponential_sum`, the reference of the trace_vs_sum
-check; and the truncated bilateral Bessel sum `bessel_comb_series` (all
-classes from one Bessel table: `bessel_comb_column`), the reference of
-trace_vs_bessel.  The completeness check compares the sum of all n
-traces with exp((x/2)(w + 1/w)).
+check; and the truncated bilateral Bessel sum `bessel_comb_series`, the
+reference of trace_vs_bessel.  Each route has an all-class form, one
+call for every class of an (n, x, w) cell: the column itself,
+`exponential_sum` with a 1-D array of classes j (blocks of width n,
+`algebra._blocked`, each entry bit for bit the int-j call), and
+`bessel_comb_column` (one Bessel table and one numpy pass, equal to the
+per-class sums up to numpy's complex powers).  The completeness check
+compares the sum of all n traces with exp((x/2)(w + 1/w)).
 """
 
 from __future__ import annotations
@@ -22,9 +26,9 @@ import numpy as np
 
 from dataclasses import dataclass
 
-from .algebra import circulant, circulant_column, roots_of_unity
+from .algebra import _blocked, circulant, circulant_column, roots_of_unity
 from .bessel import _comb_sum, bessel_table
-from .errors import require_index, require_level, require_order, unit_scale
+from .errors import require_index, require_indices, require_level, require_order, unit_scale
 
 
 @dataclass(frozen=True)
@@ -76,29 +80,38 @@ def trace_projection(n: int, x: float, w: complex, j: int) -> complex:
     return complex(col[-j % col.size])
 
 
-def exponential_sum(n: int, x: float, w: complex, j: int) -> complex:
-    """(1/n) sum_l s^(l*j) exp((x/2)(w s^l + s^(-l)/w)), the closed scalar form, summed directly."""
+def exponential_sum(n: int, x: float, w: complex, j) -> complex | np.ndarray:
+    """(1/n) sum_l s^(l*j) exp((x/2)(w s^l + s^(-l)/w)), the closed scalar form, summed directly.
+
+    j is a class index, or a 1-D integer array of them giving one sum per
+    entry, bit for bit the int-j call.  The phases s^(l*j) of an array
+    are taken block_rows(n) classes at a time (_blocked, width n), so the
+    working arrays hold O(BLOCK + n) entries, never an n x n plane.
+    """
     n = require_level(n)
     unit_scale(x, w)
     x, w = float(x), complex(w)
-    j = require_index(j, n)
+    j = require_indices(j, n)
     roots = roots_of_unity(n)
-    phases = roots[(np.arange(n) * j) % n]
-    return complex((phases * np.exp((x / 2.0) * (w * roots + np.conj(roots) / w))).sum() / n)
+    exps = np.exp((x / 2.0) * (w * roots + np.conj(roots) / w))
+    if isinstance(j, np.ndarray):
+        l = np.arange(n)
+        return _blocked(lambda js: (roots[np.multiply.outer(js, l) % n] * exps).sum(axis=1) / n, n, j)
+    return complex((roots[(np.arange(n) * j) % n] * exps).sum() / n)
 
 
-def default_comb_truncation(n: int, x: float, w: complex, j: int) -> int:
+def default_comb_truncation(n: int, x: float, w: complex, j) -> int | np.ndarray:
     """Truncation order ending on a complete period: n*ceil((scale+30)/n) + j.
 
-    Bumped by whole periods if needed so the bilateral-sum precondition
-    K >= n + |x| + 20 always holds.
+    Bumped by one period if needed so the bilateral-sum precondition
+    K >= n + |x| + 20 always holds; one is enough, since the unbumped K
+    is at least scale + 30 >= |x| + 30.  A 1-D array of classes j gives
+    one order per class.
     """
     n = require_level(n)
-    j = require_index(j, n)
+    j = require_indices(j, n)
     K = n * int(math.ceil((unit_scale(x, w) + 30.0) / n)) + j
-    while K < n + abs(float(x)) + 20:
-        K += n
-    return K
+    return K + n * (K < n + abs(float(x)) + 20)
 
 
 def bessel_comb_series(n: int, x: float, w: complex, j: int, K: int) -> complex:
@@ -116,14 +129,28 @@ def bessel_comb_series(n: int, x: float, w: complex, j: int, K: int) -> complex:
 
 
 def bessel_comb_column(n: int, x: float, w: complex) -> np.ndarray:
-    """bessel_comb_series for every class j at its default truncation, from one table.
+    """The sums of bessel_comb_series for every class j at its default truncation, in one numpy pass.
 
     The table is built once, at the largest per-class truncation; class j
-    still sums only the orders |n*k-j| <= default_comb_truncation(n, x, w, j).
+    still sums only the orders |n*k-j| <= default_comb_truncation(n, x, w, j),
+    and, as in bessel_comb_series, none past the table's last nonzero
+    value.  The terms of every class form one (periods, n) array, order
+    n*k - j at row k, column j, zero outside the truncation; its column
+    sums add the terms of each class in the order of k, as the scalar sum
+    does.  The powers w^m are numpy's, which can differ from Python's
+    w ** m in the last bit, so an entry can differ from
+    bessel_comb_series at rounding level.
     """
     n = require_level(n)
     unit_scale(x, w)
     x, w = float(x), complex(w)
-    K = [default_comb_truncation(n, x, w, j) for j in range(n)]
-    values = bessel_table(max(K), x).values
-    return np.array([_comb_sum(values, n, w, j, K[j]) for j in range(n)])
+    K = default_comb_truncation(n, x, w, np.arange(n))
+    values = bessel_table(int(K.max()), x).values
+    K = np.minimum(K, np.flatnonzero(values)[-1])
+    top = int(K.max())
+    orders = n * np.arange(-(top // n), (top + n - 1) // n + 1)[:, None] - np.arange(n)
+    size = np.abs(orders)
+    keep = size <= K
+    terms = np.zeros(orders.shape, complex)
+    terms[keep] = values[size[keep]] * w ** orders[keep]
+    return terms.sum(axis=0)

@@ -25,17 +25,20 @@ multiplying its eigenvalues, whose product is 1 by construction.  Tests
 also compare `exp_circulant` with the dense `algebra.mat_exp`.
 
 The series, filter and residual functions (`series_column`,
-`filter_column`, `c_all`, `series_residuals`, `polynomial_identity_residual`,
+`filter_column`, `c_all`, `exp_circulant`, `series_residuals`,
+`fundamental_identity_residual`, `polynomial_identity_residual`,
 `addition_residual`, `mixed_product_residual`) take x (and y) as a float
 or as a 1-D array of T points.  A float gives the per-point shape, an
 array one row per point, and row t is bit for bit the call at point t:
-the rows share one series pass, one FFT and one stack of circulants,
-so a grid costs one call instead of T.  Each kernel takes its points
-block_rows(width) rows at a time through the one block loop `_blocked`
-(width n for series and filter columns, n^2 for the residuals'
-circulants), so its working arrays hold O(BLOCK + n^2) entries beyond
+the rows share one series pass, one FFT, one stack of circulants and
+one batched LU, so a grid costs one call instead of T.  Each kernel
+takes its points block_rows(width) rows at a time through the block
+loop `algebra._blocked` (width n for series and filter columns, n^2 for
+the circulants of the determinant and of the addition and mixed
+residuals), so its working arrays hold O(BLOCK + n^2) entries beyond
 its result.  An array whose points times the entries each keeps for the
-whole call exceeds errors.MAX_BATCH is a DomainError.
+whole call exceeds errors.MAX_BATCH is a DomainError.  The identity
+residuals take |x| <= IDENTITY_X_MAX (10).
 
 Error model: for x >= 0 every series term is nonnegative and the sums
 are accurate to relative machine precision.  For x < 0 the partial sums
@@ -46,17 +49,16 @@ scale their tolerances accordingly.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import circulant, circulant_column, determinant, roots_of_unity
-from .errors import DomainError, ValidationError, require_index, require_level, require_x, require_xs
+from .algebra import _blocked, circulant, circulant_column, determinant, roots_of_unity
+from .errors import DomainError, ValidationError, require_index, require_level, require_xs
 
 X_MAX = 700.0
-# entries a batched kernel's working arrays hold per block of rows (block_rows)
-BLOCK = 2**16
+# |x| bound of the identity residuals (determinant, polynomial, addition, mixed)
+IDENTITY_X_MAX = 10.0
 # relative stopping tolerance of each class sum in series_column
 _SERIES_TOL = 1e-14
 _TINY = np.finfo(float).tiny
@@ -90,30 +92,6 @@ POLY_IDENTITY_MONOMIALS = {
         (4.0, (1, 0, 1, 2)),
     ),
 }
-
-
-def block_rows(width: int) -> int:
-    """Rows of `width` entries a batched kernel takes at once: BLOCK // width, at least one."""
-    return max(1, BLOCK // width)
-
-
-def _blocked(fn, width: int, *points) -> np.ndarray:
-    """fn on the points (floats, or 1-D arrays of one length), block_rows(width) rows at a time.
-
-    fn maps 1-D blocks of the points to one row per point.  Floats give
-    fn's row for one-point arrays; arrays that fit in one block give fn's
-    own result, uncopied, and longer ones the rows of every block stacked.
-    """
-    if not isinstance(points[0], np.ndarray):
-        return fn(*(np.array([p]) for p in points))[0]
-    size, step = len(points[0]), block_rows(width)
-    out = fn(*(p[:step] for p in points))
-    if size > step:
-        first, out = out, np.empty((size, *out.shape[1:]), out.dtype)
-        out[:step] = first
-        for start in range(step, size, step):
-            out[start : start + step] = fn(*(p[start : start + step] for p in points))
-    return out
 
 
 def series_column(n: int, x) -> np.ndarray:
@@ -252,7 +230,7 @@ def c_all(n: int, x, method: str = "series") -> SuperHypValues:
     return SuperHypValues(n=n, x=x, values=values, method=method)
 
 
-def exp_circulant(n: int, x: float) -> np.ndarray:
+def exp_circulant(n: int, x) -> np.ndarray:
     """exp(x * shift) built spectrally, as a real float64 circulant matrix.
 
     O(n log n) column (one FFT of the eigenvalues exp(x s^k)), returned
@@ -261,24 +239,31 @@ def exp_circulant(n: int, x: float) -> np.ndarray:
     The matrix is real, so the imaginary part of the filter column must
     be rounding residue (at most 1e-10 * exp(|x|)); a larger or NaN
     residue raises ValidationError, and only the real part is gathered.
+    A 1-D x gives the stack (T, n, n) of views, one per x.
     """
     n = require_level(n)
-    x = require_x(x, 50.0)
-    return circulant(_real_column(filter_column(n, x), math.exp(abs(x))))
+    x = require_xs(x, 50.0, 2 * n)
+    return circulant(_real_column(filter_column(n, x), np.exp(np.abs(x))))
 
 
-def fundamental_identity_residual(n: int, x: float) -> float:
+def fundamental_identity_residual(n: int, x) -> float | np.ndarray:
     """|det exp(x * shift) - 1|.
 
     The determinant is the product of exp(x * s^k) over all n-th roots
     of unity s^k, and the exponents sum to zero, so the exact value is 1
     for every n and x.  It is computed by a real LU (LAPACK, on its own
     dense copy of the float64 `exp_circulant` view), not from those
-    eigenvalues.
+    eigenvalues.  A 1-D x gives one residual per x, bit for bit the float
+    call: one stack of circulant views and one batched LU per block of
+    width n^2 (_blocked).
     """
     n = require_level(n)
-    x = require_x(x, 10.0)
-    return abs(determinant(exp_circulant(n, x)) - 1.0)
+    x = require_xs(x, IDENTITY_X_MAX)
+
+    def residual(xs):
+        return np.abs(determinant(exp_circulant(n, xs)) - 1.0)
+
+    return _blocked(residual, n * n, x) if isinstance(x, np.ndarray) else float(residual(x))
 
 
 def polynomial_identity(n: int, values) -> np.ndarray:
@@ -286,7 +271,8 @@ def polynomial_identity(n: int, values) -> np.ndarray:
 
     values holds the classes, shape (n,) or one row per point (T, n).
     Each power is Python's float ** int, value by value: numpy's
-    vectorised power can differ from it in the last bit.
+    vectorised power can differ from it in the last bit.  A power that
+    overflows a double raises DomainError.
     """
     if n not in POLY_IDENTITY_MONOMIALS:
         raise DomainError(
@@ -297,7 +283,10 @@ def polynomial_identity(n: int, values) -> np.ndarray:
     for coeff, powers in POLY_IDENTITY_MONOMIALS[n]:
         term = coeff
         for column, p in zip(rows.T.tolist(), powers):
-            term = term * np.array([v**p for v in column])
+            try:
+                term = term * np.array([v**p for v in column])
+            except OverflowError:
+                raise DomainError(f"overflow-domain: a class value to the power {p} overflows a double") from None
         total = total + term
     return total if np.ndim(values) == 2 else total[0]
 
@@ -310,7 +299,7 @@ def polynomial_identity_residual(n: int, x) -> float | np.ndarray:
     quantity as the determinant residual computed through the printed
     polynomial instead of an LU sweep.
     """
-    x = require_xs(x, 10.0, require_level(n))
+    x = require_xs(x, IDENTITY_X_MAX, require_level(n))
     return np.abs(polynomial_identity(n, series_column(n, x)) - 1.0)
 
 
@@ -338,8 +327,8 @@ def _pair_rows(n: int, x, y) -> tuple[int, float | np.ndarray, float | np.ndarra
     # n, x and y (|.| <= 10): both floats, or 1-D of one length; a point keeps n
     # residuals, its series and circulant live only in its block (_blocked)
     n = require_level(n)
-    x = require_xs(x, 10.0, n)
-    y = require_xs(y, 10.0, n)
+    x = require_xs(x, IDENTITY_X_MAX, n)
+    y = require_xs(y, IDENTITY_X_MAX, n)
     if np.shape(x) != np.shape(y):
         raise DomainError(f"invalid-grid: need x and y of one shape, got {np.shape(x)} and {np.shape(y)}")
     return n, x, y

@@ -157,14 +157,15 @@ def verify_pauli(n_values=None, tol=None) -> tuple[dict, list]:
 def verify_superhyp(n_values=None, x_values=None, tol=None) -> tuple[dict, list]:
     """Determinant identity, printed polynomials, and series/filter agreement."""
     n_values = _grid(n_values, "superhyp_n", require_level)
-    x_values = _grid(x_values, "superhyp_x", _x)
+    # the identity check takes |x| <= IDENTITY_X_MAX, so the grid does too
+    x_values = _grid(x_values, "superhyp_x", lambda x: require_x(x, hyperbolic.IDENTITY_X_MAX))
     t = _tols("superhyp", tol)
     cases = []
     for n in n_values:
         # per x: the cross-method spread, and the polynomial residual for n <= 4
         rows = hyperbolic.series_residuals(n, x_values).tolist()
-        for x, (spread, *poly) in zip(x_values, rows):
-            det_res = hyperbolic.fundamental_identity_residual(n, x)
+        dets = hyperbolic.fundamental_identity_residual(n, x_values).tolist()
+        for x, det_res, (spread, *poly) in zip(x_values, dets, rows):
             cases.append(_case({"n": n, "x": x, "check": "identity"}, det_res, t["identity"]))
             for p in poly:
                 cases.append(_case({"n": n, "x": x, "check": "polynomial"}, p, t["polynomial"]))
@@ -237,12 +238,15 @@ def verify_bessel(x_values=None, kmax=None, w_values=None, tol=None) -> tuple[di
         if x != 0:
             table = bessel.bessel_table(22, x).values
             for k in range(1, 21):
+                # at tiny |x| the orders underflow to 0 and 2k/x can overflow:
+                # an order that is 0 adds 0, and sides that agree are no defect,
+                # where inf * 0 and 0 / 0 would give a NaN residual
                 lhs = table[k - 1] - table[k + 1]
-                rhs = (2.0 * k / x) * table[k]
+                rhs = (2.0 * k / x) * table[k] if table[k] else 0.0
                 cases.append(
                     _case(
                         {"x": x, "k": k, "identity": "recurrence"},
-                        abs(lhs - rhs) / abs(table[k - 1]),
+                        abs(lhs - rhs) / abs(table[k - 1]) if lhs != rhs else 0.0,
                         t["recurrence"],
                     )
                 )
@@ -273,14 +277,13 @@ def verify_genmatrix(n_values=None, x_values=None, w_values=None, tol=None) -> t
             for w in w_values:
                 scale = math.exp(genmatrix.unit_scale(x, w))
                 w_pay = complex_payload(w)
+                js = np.arange(n)
                 # trace_projection for every j at once: entry -j mod n of one column
-                col = genmatrix.generating_column(n, x, w)
-                combs = genmatrix.bessel_comb_column(n, x, w)
+                traces = genmatrix.generating_column(n, x, w)[-js % n].tolist()
+                sums = genmatrix.exponential_sum(n, x, w, js).tolist()
+                combs = genmatrix.bessel_comb_column(n, x, w).tolist()
                 totals = 0j
-                for j in range(n):
-                    tr = complex(col[-j % n])
-                    es = genmatrix.exponential_sum(n, x, w, j)
-                    comb = complex(combs[j])
+                for j, tr, es, comb in zip(range(n), traces, sums, combs):
                     totals += tr
                     base = {"n": n, "x": x, "j": j, "w": w_pay}
                     cases.append(

@@ -179,6 +179,19 @@ def test_bad_input_exits_with_error_line_not_traceback(argv, expected):
     assert all(len(line) < 200 for line in proc.stderr.splitlines() if "error:" in line)
 
 
+@pytest.mark.parametrize("n, x", [("2", "400"), ("4", "-180"), ("3", "355")])
+def test_superhyp_grid_past_the_identity_domain_is_one_error_line(n, x):
+    # at n <= 4 a class value's n-th power would overflow in the printed polynomial
+    env = dict(os.environ, PYTHONPATH=str(Path(superhyp.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "superhyp", "verify", "superhyp", "--n", n, "--x", x],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: overflow-domain: need |x| <= 10.0, got {float(x)}\n"
+
+
 def test_verify_bessel_default_truncation_follows_x(capsys):
     # without --kmax each x takes max(80, ceil(2 max(8, |x|))), the least
     # order the classical identities accept; the default grid keeps 80
@@ -402,6 +415,71 @@ def _argv(draw):
 @example(["table", "bessel", "--x", "1,2", "--out", "missing/out.txt"])
 def test_every_argv_ends_in_an_exit_code(argv):
     # run in a scratch directory, where any drawn --out value lands
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                try:
+                    code = cli.main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+                    assert code == 2, argv
+        finally:
+            os.chdir(home)
+    assert code in (0, 1, 2, 3), argv
+
+
+# -- every flag a target reads, at the edges of its domain ---------------------
+
+# zero, +-1e-300, the |x| caps of the identities (10), of the weight (ARG_MAX = 50)
+# and of the series (700), just past each, non-finite and huge values
+_EDGE_REALS = ["0", "1e-300", "-1e-300", "10", "-10", "10.5", "50", "-50", "50.5", "700", "-700", "701",
+               "nan", "inf", "-inf", "1e308", "-1e308"]
+# sizes stop at small edges, so no drawn run is slow
+_EDGES = {
+    "n": ["2", "1", "0", "-2", "1e308", "nan", "inf"],
+    "N": ["1", "0", "1e308", "nan"],
+    "x": _EDGE_REALS,
+    "w": [*_EDGE_REALS, "0.02", "0.0199", "1e-300,1", "0,1e308", "nan,1", "1,inf"],
+    "j": ["0", "5", "6", "-1", "1e308"],
+    "alpha": [*_EDGE_REALS, "0.9999999999999999", "1"],
+    "kmax": ["0", "-1", "15", "16", "20"],
+    "trials": ["1", "0", "10001", "1e308"],
+    "seed": ["0", "-1", str(2**64 - 1), str(2**64)],
+    "tol": ["1e-300", "1e308", "inf", "nan", "0", "-1e-300"],
+}
+
+
+def _reads(command, target):
+    """The flags `command target` reads: its TARGET_FLAGS, or the suite's SUITE_KEYWORDS."""
+    if command == "verify":
+        takes = inspect.signature(verify.SUITES[target]).parameters
+        return [flag for flag, keyword in cli.SUITE_KEYWORDS.items() if keyword in takes]
+    return list(cli.TARGET_FLAGS[command][target])
+
+
+@st.composite
+def _reading_argv(draw):
+    command, target = draw(st.sampled_from(_COMMANDS))
+    reads = _reads(command, target)
+    argv = [command, target]
+    for flag in draw(st.lists(st.sampled_from(reads), max_size=len(reads), unique=True)):
+        edges = _EDGES.get(flag)
+        value = draw(st.one_of(_GOOD[flag], st.sampled_from(edges)) if edges else _GOOD[flag])
+        argv += [f"--{flag}", value]
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(_reading_argv())
+@example(["verify", "superhyp", "--n", "2", "--x", "400"])
+@example(["verify", "superhyp", "--n", "4", "--x", "-180"])
+@example(["verify", "superhyp", "--x", "1e308"])
+@example(["table", "identity", "--x", "-10,10"])
+@example(["eval", "trace", "--x", "1e-300", "--w", "0.02"])
+@example(["table", "superhyp", "--n", "1e308"])  # n is checked before the header is built
+def test_every_flag_a_target_reads_ends_in_an_exit_code_at_its_edges(argv):
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)

@@ -1,12 +1,14 @@
 import cmath
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 import scipy.special
 
 from superhyp import algebra, bessel, genmatrix
+from superhyp.bessel import _comb_sum
 from superhyp.errors import MAX_LEVEL, DomainError
 
 W_SET = (1.0 + 0j, 0.8 + 0j, cmath.exp(1j * math.pi / 5))
@@ -98,6 +100,25 @@ def test_bilateral_sum_at_the_weight_bound_for_many_levels(w):
         K = genmatrix.default_comb_truncation(100, 0.001, w, j)
         comb = genmatrix.bessel_comb_series(100, 0.001, w, j, K)
         assert abs(comb - genmatrix.trace_projection(100, 0.001, w, j)) <= 1e-12
+    # numpy's powers stay finite too: none is taken past the table's last nonzero value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        combs = genmatrix.bessel_comb_column(100, 0.001, w)
+    assert np.abs(combs - genmatrix.generating_column(100, 0.001, w)[-np.arange(100) % 100]).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 16, 64])
+def test_bessel_comb_column_is_the_scalar_sum_up_to_the_powers(n):
+    # the same table, truncations and order of terms as _comb_sum; only numpy's
+    # complex powers differ from Python's w ** m, by a few ulps of each term
+    eps = np.finfo(float).eps
+    for x in (0.5, 2.0, -3.0, 0.0):
+        for w in (*W_SET, 1.7 - 0.4j):
+            K = [genmatrix.default_comb_truncation(n, x, w, j) for j in range(n)]
+            values = bessel.bessel_table(max(K), x).values
+            want = [_comb_sum(values, n, w, j, K[j]) for j in range(n)]
+            bound = 8 * eps * math.exp(genmatrix.unit_scale(x, w))
+            assert np.abs(genmatrix.bessel_comb_column(n, x, w) - want).max() <= bound, (n, x, w)
 
 
 def test_trace_projection_two_levels_is_cosh():
@@ -136,6 +157,38 @@ def test_trace_projection_allocates_no_matrix_at_the_level_cap():
         tracemalloc.stop()
     assert peak < 2**20, peak
     assert abs(value - genmatrix.exponential_sum(MAX_LEVEL, 1.0, 0.8, j)) <= 1e-11 * math.e
+
+
+def test_exponential_sums_of_every_class_hold_no_plane_at_the_level_cap():
+    # the phases s^(l*j) of all classes at once would be a 256 MiB complex plane
+    js = np.arange(MAX_LEVEL)
+    genmatrix.exponential_sum(MAX_LEVEL, 1.0, 0.8, js[:1])  # warm numpy's caches
+    tracemalloc.start()
+    try:
+        sums = genmatrix.exponential_sum(MAX_LEVEL, 1.0, 0.8, js)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sums.shape == (MAX_LEVEL,)
+    assert peak < 8 * algebra.BLOCK * 16, peak
+    for j in (0, 1, MAX_LEVEL // 3, MAX_LEVEL - 1):
+        assert sums[j] == genmatrix.exponential_sum(MAX_LEVEL, 1.0, 0.8, j)
+
+
+@pytest.mark.parametrize("n", [*range(2, 17), 64, 256])
+def test_exponential_sum_rows_are_the_int_calls(n):
+    js = np.arange(n)
+    for x, w in ((0.5, W_SET[0]), (2.0, W_SET[2]), (-1.3, 0.8 + 0.2j), (0.0, 0.8)):
+        rows = genmatrix.exponential_sum(n, x, w, js)
+        want = np.array([genmatrix.exponential_sum(n, x, w, j) for j in range(n)])
+        assert rows.tobytes() == want.tobytes(), (n, x, w)
+        assert genmatrix.exponential_sum(n, x, w, [n - 1, 0, n - 1]).tobytes() == want[[n - 1, 0, n - 1]].tobytes()
+
+
+@pytest.mark.parametrize("j", [[0, 3], [-1], [[0]], [0.0, 1.0], [True], "0", [0, 1.5]])
+def test_exponential_sum_rejects_bad_class_arrays(j):
+    with pytest.raises(DomainError):
+        genmatrix.exponential_sum(3, 1.0, 0.8, j)
 
 
 def test_generating_matrix_allocates_no_matrix_at_the_level_cap():
@@ -241,6 +294,29 @@ def test_default_truncation_ends_on_complete_period():
             K = genmatrix.default_comb_truncation(n, 1.0, 0.8, j)
             assert (K - j) % n == 0
             assert K >= n + 1.0 + 20
+
+
+def _loop_truncation(n, x, w, j):
+    # the rule as a loop: start on n*ceil((scale+30)/n) + j, add periods until K >= n + |x| + 20
+    K = n * math.ceil((genmatrix.unit_scale(x, w) + 30.0) / n) + j
+    while K < n + abs(x) + 20:
+        K += n
+    return K
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 64, 100, 4096])
+def test_default_truncation_is_the_loop_rule_for_every_class(n):
+    # one bump always suffices, so the closed form is the loop for an int or an array j
+    for x in (0.0, 1e-300, 0.5, -3.0, 19.7, 25.0, -50.0):
+        for w in (1.0, 0.8, 0.02, 1.9 + 0.3j, W_SET[2]):
+            if abs(x) * max(abs(w), 1 / abs(w)) > 50:
+                continue
+            want = [_loop_truncation(n, x, w, j) for j in range(n)]
+            got = genmatrix.default_comb_truncation(n, x, w, np.arange(n))
+            assert got.tolist() == want, (n, x, w)
+            for j in {0, 1, n // 2, n - 1}:
+                K = genmatrix.default_comb_truncation(n, x, w, j)
+                assert type(K) is int and K == want[j]
 
 
 def test_three_way_agreement_over_grid():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from superhyp import algebra, hyperbolic
+from superhyp import algebra, genmatrix, hyperbolic
 from superhyp.errors import DomainError, ValidationError
 
 
@@ -68,19 +68,22 @@ def test_series_column_blocks_do_not_change_rows(monkeypatch, n):
     # every batched kernel, in blocks of 3, 3, 3 and 2 rows and of one row, against one block
     xs = np.linspace(-30.0, 30.0, 11)
     pair = (xs / 3.0, np.linspace(2.5, -3.0, 11))
+    js = np.arange(11) * 7 % n
     for kernel, width, args in (
-        (hyperbolic.series_column, n, (xs,)),
-        (hyperbolic.filter_column, n, (xs,)),
-        (hyperbolic.series_residuals, n, (xs,)),
-        (hyperbolic.addition_residual, n * n, pair),
-        (hyperbolic.mixed_product_residual, n * n, pair),
+        (hyperbolic.series_column, n, (n, xs)),
+        (hyperbolic.filter_column, n, (n, xs)),
+        (hyperbolic.series_residuals, n, (n, xs)),
+        (hyperbolic.fundamental_identity_residual, n * n, (n, pair[0])),
+        (hyperbolic.addition_residual, n * n, (n, *pair)),
+        (hyperbolic.mixed_product_residual, n * n, (n, *pair)),
+        (genmatrix.exponential_sum, n, (n, 1.3, 0.8 + 0.3j, js)),
     ):
-        whole = kernel(n, *args)
+        whole = kernel(*args)
         for rows in (3, 1):
             with monkeypatch.context() as patch:
-                patch.setattr(hyperbolic, "BLOCK", rows * width)
-                assert hyperbolic.block_rows(width) == rows
-                assert kernel(n, *args).tobytes() == whole.tobytes(), (kernel.__name__, rows)
+                patch.setattr(algebra, "BLOCK", rows * width)
+                assert algebra.block_rows(width) == rows
+                assert kernel(*args).tobytes() == whole.tobytes(), (kernel.__name__, rows)
     assert hyperbolic.series_column(n, []).shape == (0, n)
 
 
@@ -107,7 +110,7 @@ def test_series_residuals_hold_no_whole_grid_column(monkeypatch, n):
         if n in hyperbolic.POLY_IDENTITY_MONOMIALS:
             row.append(abs(hyperbolic.polynomial_identity(n, series) - 1.0))
         want.append(row)
-    monkeypatch.setattr(hyperbolic, "BLOCK", 4 * n)
+    monkeypatch.setattr(algebra, "BLOCK", 4 * n)
     tracemalloc.start()
     try:
         got = hyperbolic.series_residuals(n, xs)
@@ -373,6 +376,29 @@ def test_fundamental_identity_is_the_real_lu_of_exp_circulant(n, x):
     assert hyperbolic.fundamental_identity_residual(n, x) == want
 
 
+IDENTITY_X = [-10.0, -3.0, -0.7, -1e-300, 0.0, 1e-300, 2.5, 9.0, 10.0]
+
+
+@pytest.mark.parametrize("n", [2, 5, 8, 64, 256])
+def test_fundamental_identity_rows_are_the_float_calls(n):
+    # one stack of circulant views and one batched LU, row t bit for bit the call at x[t]
+    stack = hyperbolic.exp_circulant(n, np.array(IDENTITY_X))
+    assert stack.shape == (len(IDENTITY_X), n, n) and not stack.flags.writeable
+    rows = hyperbolic.fundamental_identity_residual(n, IDENTITY_X)
+    assert rows.shape == (len(IDENTITY_X),)
+    for x, matrix, row in zip(IDENTITY_X, stack, rows.tolist()):
+        assert matrix.tobytes() == hyperbolic.exp_circulant(n, x).tobytes()
+        want = hyperbolic.fundamental_identity_residual(n, x)
+        assert type(want) is float
+        assert np.float64(row).tobytes() == np.float64(want).tobytes(), (n, x)
+
+
+def test_fundamental_identity_domain_is_checked_per_point():
+    with pytest.raises(DomainError, match=r"need \|x\| <= 10.0, got 10.5"):
+        hyperbolic.fundamental_identity_residual(3, [1.0, 10.5, -11.0])
+    assert hyperbolic.fundamental_identity_residual(3, np.array([])).shape == (0,)
+
+
 def _with_imaginary(col, imag):
     return col.real + 1j * np.full(col.size, imag)
 
@@ -430,6 +456,16 @@ def test_polynomial_identities():
 def test_polynomial_identity_rejects_other_levels():
     with pytest.raises(DomainError):
         hyperbolic.polynomial_identity_residual(5, 1.0)
+
+
+@pytest.mark.parametrize("n, x", [(2, 400.0), (4, -180.0), (3, 355.0)])
+def test_polynomial_overflow_is_a_domain_error(n, x):
+    # Python's float ** int raises OverflowError past the largest double
+    values = hyperbolic.series_column(n, x)
+    with pytest.raises(DomainError, match="overflow-domain"):
+        hyperbolic.polynomial_identity(n, values)
+    with pytest.raises(DomainError, match="overflow-domain"):
+        hyperbolic.series_residuals(n, [0.5, x])
 
 
 def test_polynomial_and_determinant_agree():

@@ -1,3 +1,4 @@
+import cmath
 import collections
 import math
 import tracemalloc
@@ -7,7 +8,7 @@ import pytest
 from test_circle import _eager_lattice
 from test_hyperbolic import _loop_addition_residual, _loop_mixed_residual
 
-from superhyp import circle, hyperbolic, verify
+from superhyp import circle, genmatrix, hyperbolic, verify
 from superhyp.errors import MAX_GRID_POINTS, DomainError
 
 
@@ -140,6 +141,46 @@ def test_batched_superhyp_equals_the_per_point_loop():
                 )
             )
     assert _payload_cases(report) == _payload_cases(verify.VerificationReport("superhyp", {}, cases, 0.0))
+
+
+def test_batched_genmatrix_equals_the_per_class_loop():
+    # trace_vs_sum and completeness bit for bit; trace_vs_bessel moves only by
+    # numpy's complex powers in bessel_comb_column, a few ulps of each term
+    report = verify.run_suite("genmatrix")
+    tol = verify.DEFAULT_TOLERANCES["genmatrix"]
+    cases = {}
+    for n in verify.DEFAULT_GRIDS["genmatrix_n"]:
+        for x in verify.DEFAULT_GRIDS["genmatrix_x"]:
+            for w in verify.DEFAULT_GRIDS["w_values"]:
+                scale = math.exp(genmatrix.unit_scale(x, w))
+                w_pay = verify.complex_payload(w)
+                totals = 0j
+                for j in range(n):
+                    tr = genmatrix.trace_projection(n, x, w, j)
+                    es = genmatrix.exponential_sum(n, x, w, j)
+                    K = genmatrix.default_comb_truncation(n, x, w, j)
+                    comb = genmatrix.bessel_comb_series(n, x, w, j, K)
+                    totals += tr
+                    base = {"n": n, "x": x, "j": j, "w": w_pay}
+                    for check, residual in (("trace_vs_sum", abs(tr - es)), ("trace_vs_bessel", abs(tr - comb))):
+                        case = verify._case({**base, "check": check}, residual, tol[check] * scale)
+                        cases[repr(case.inputs)] = case
+                generating = cmath.exp((x / 2.0) * (w + 1.0 / w))
+                case = verify._case(
+                    {"n": n, "x": x, "w": w_pay, "check": "completeness"},
+                    abs(totals - generating),
+                    tol["completeness"] * scale,
+                )
+                cases[repr(case.inputs)] = case
+    assert len(report.cases) == len(cases)
+    for case in report.cases:
+        want = cases[repr(case.inputs)]
+        assert case.tolerance == want.tolerance and case.passed == want.passed
+        if case.inputs["check"] == "trace_vs_bessel":
+            # a table per class against one table, and numpy's powers: rounding of the exp(scale) sums
+            assert abs(case.residual - want.residual) <= 1e-14 * want.tolerance / tol["trace_vs_bessel"]
+        else:
+            assert np.float64(case.residual).tobytes() == np.float64(want.residual).tobytes(), case.inputs
 
 
 def _circle_key(case):
