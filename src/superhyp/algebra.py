@@ -142,7 +142,7 @@ def dft_matrix(n: int) -> np.ndarray:
 
 
 def _diagonalization_defect(s1: np.ndarray, s3: np.ndarray, w: np.ndarray) -> float:
-    # max |shift - W clock W^dagger|, for matrices pauli_residuals has already built
+    # max |shift - W clock W^dagger|, on matrices built once per level by the caller
     return max_abs(s1 - w @ s3 @ w.conj().T)
 
 

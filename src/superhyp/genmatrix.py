@@ -95,8 +95,7 @@ def exponential_sum(n: int, x: float, w: complex, j) -> complex | np.ndarray:
     roots = roots_of_unity(n)
     exps = np.exp((x / 2.0) * (w * roots + np.conj(roots) / w))
     if isinstance(j, np.ndarray):
-        l = np.arange(n)
-        return _blocked(lambda js: (roots[np.multiply.outer(js, l) % n] * exps).sum(axis=1) / n, n, j)
+        return _blocked(lambda js: (roots[np.multiply.outer(js, np.arange(n)) % n] * exps).sum(axis=1) / n, n, j)
     return complex((roots[(np.arange(n) * j) % n] * exps).sum() / n)
 
 

@@ -278,12 +278,14 @@ def verify_genmatrix(n_values=None, x_values=None, w_values=None, tol=None) -> t
                 scale = math.exp(genmatrix.unit_scale(x, w))
                 w_pay = complex_payload(w)
                 js = np.arange(n)
-                # trace_projection for every j at once: entry -j mod n of one column
+                # every class per route in one call: trace_projection is entry -j mod n of
+                # one column; the residuals take Python's abs of each complex (tolist), as
+                # per-class calls did, where np.abs can differ in the last bit
                 traces = genmatrix.generating_column(n, x, w)[-js % n].tolist()
                 sums = genmatrix.exponential_sum(n, x, w, js).tolist()
                 combs = genmatrix.bessel_comb_column(n, x, w).tolist()
                 totals = 0j
-                for j, tr, es, comb in zip(range(n), traces, sums, combs):
+                for j, (tr, es, comb) in enumerate(zip(traces, sums, combs)):
                     totals += tr
                     base = {"n": n, "x": x, "j": j, "w": w_pay}
                     cases.append(

@@ -451,6 +451,12 @@ _EDGES = {
 }
 
 
+def test_every_valued_flag_has_edge_values():
+    # a new flag that takes a number gets its edges here; choice flags and --out have none
+    choices = {flag for flag, spec in cli.FLAGS.items() if "choices" in spec}
+    assert set(_EDGES) == set(cli.FLAGS) - choices - {"out"}
+
+
 def _reads(command, target):
     """The flags `command target` reads: its TARGET_FLAGS, or the suite's SUITE_KEYWORDS."""
     if command == "verify":
