@@ -57,13 +57,15 @@ def block_rows(width: int) -> int:
 
 
 def _blocked(fn, width: int, *points) -> np.ndarray:
-    """fn on the points (floats, or 1-D arrays of one length), block_rows(width) rows at a time.
+    """fn on the points (floats, or 1-D arrays or ranges of one length), block_rows(width) rows at a time.
 
-    fn maps 1-D blocks of the points to one row per point.  Floats give
-    fn's row for one-point arrays; arrays that fit in one block give fn's
-    own result, uncopied, and longer ones the rows of every block stacked.
+    fn maps 1-D blocks of the points to one row per point; a range comes
+    in slices of itself, so a caller can block over indices it never
+    holds as an array.  Floats give fn's row for one-point arrays; arrays
+    that fit in one block give fn's own result, uncopied, and longer ones
+    the rows of every block stacked.
     """
-    if not isinstance(points[0], np.ndarray):
+    if not isinstance(points[0], (np.ndarray, range)):
         return fn(*(np.array([p]) for p in points))[0]
     size, step = len(points[0]), block_rows(width)
     out = fn(*(p[:step] for p in points))

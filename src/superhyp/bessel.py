@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import MAX_ORDER, require_order, require_x, unit_scale
+from .errors import MAX_ORDER, _is_number, require_order, require_weights, require_x, unit_scale
 
 X_MAX = 700.0
 _SERIES_X_MAX = 20.0
@@ -219,20 +219,29 @@ def classic_identity_residuals(x: float, K: int) -> ClassicResiduals:
     )
 
 
-def generating_function_residual(x: float, w: complex, K: int) -> float:
+def generating_function_residual(x: float, w, K: int) -> float | np.ndarray:
     """|exp((x/2)(w + 1/w)) - sum_{|k|<=K} I_k(x) w^k|.
 
     x and w must pass `unit_scale` (ARG_MAX bounds); the truncated
     bilateral sum folds negative orders through I_{-k} = I_k.
     Useful accuracy needs |w| within roughly [0.5, 2], where the w^k
-    tails still decay against I_k.
+    tails still decay against I_k.  w may be a 1-D array of weights: the
+    call builds one table for all of them and returns one residual per
+    weight, bit for bit the one-weight call; a bad weight raises the
+    DomainError of its one-weight call.
     """
-    unit_scale(x, w)
-    x, w = float(x), complex(w)
+    many = not _is_number(w)
+    weights = require_weights(w) if many else [w]
+    for v in weights:
+        unit_scale(x, v)
+    x = float(x)
     K = require_order(K)
-    total = _comb_sum(bessel_table(K, x).values, 1, w, 0, K)
-    lhs = np.exp((x / 2.0) * (w + 1.0 / w))
-    return abs(lhs - total)
+    values = bessel_table(K, x).values
+    residuals = []
+    for v in weights:
+        v = complex(v)
+        residuals.append(abs(np.exp((x / 2.0) * (v + 1.0 / v)) - _comb_sum(values, 1, v, 0, K)))
+    return np.array(residuals) if many else residuals[0]
 
 
 def _comb_sum(values, n: int, w: complex, j: int, K: int) -> complex:

@@ -165,21 +165,18 @@ def cmd_eval(args) -> int:
                 }
             )
     else:
+        # one call per level on the whole x grid, each trace bit for bit its one-cell call
+        weights = [args.w] * len(args.x)
         for n in args.n:
-            for x in args.x:
-                value = genmatrix.trace_projection(n, x, args.w, args.j)
-                records.append(
-                    {
-                        "op": "trace",
-                        "params": {
-                            "n": n,
-                            "x": x,
-                            "w": verify.complex_payload(args.w),
-                            "j": args.j,
-                        },
-                        "value": verify.complex_payload(value),
-                    }
-                )
+            values = genmatrix.trace_projection(n, args.x, weights, args.j).tolist()
+            records.extend(
+                {
+                    "op": "trace",
+                    "params": {"n": n, "x": x, "w": verify.complex_payload(args.w), "j": args.j},
+                    "value": verify.complex_payload(value),
+                }
+                for x, value in zip(args.x, values)
+            )
     _emit("\n".join(json.dumps(r, sort_keys=True) for r in records), args.out)
     return EXIT_PASS
 

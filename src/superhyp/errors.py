@@ -140,6 +140,62 @@ def require_xs(x, bound: float, width: int = 1):
     return values
 
 
+_ARRAYS = (np.ndarray, list, tuple)
+
+
+def _is_number(value) -> bool:
+    # anything but a list, a tuple or an array of one or more dimensions
+    return not isinstance(value, _ARRAYS) or isinstance(value, np.ndarray) and value.ndim == 0
+
+
+def require_cells(x, w, width: int = 1):
+    """(x, w, unit_scale(x, w)) of one cell, or of equal-length 1-D arrays of T cells.
+
+    Numbers give a float, a complex and their scale.  Arrays give float64
+    x, complex128 w and the float64 scales, each cell checked by
+    unit_scale in turn, so a bad cell raises the DomainError of its
+    one-cell call.  T times `width`, the entries the caller keeps per
+    cell, must be at most MAX_BATCH; arrays of other shapes or of
+    non-numbers raise DomainError (invalid-grid).
+    """
+    # the isinstance tests are the fast path of _is_number for two plain numbers
+    if not isinstance(x, _ARRAYS) and not isinstance(w, _ARRAYS) or _is_number(x) and _is_number(w):
+        scale = unit_scale(x, w)
+        return float(x), complex(w), scale
+    try:
+        xs, ws = np.asarray(x), np.asarray(w)
+    except (TypeError, ValueError):  # e.g. a ragged list
+        xs = ws = None
+    if (
+        xs is None
+        or xs.ndim != 1
+        or xs.shape != ws.shape
+        or xs.dtype.kind not in "iuf"
+        or ws.dtype.kind not in "iufc"
+        or xs.size * width > MAX_BATCH
+    ):
+        raise DomainError(
+            f"invalid-grid: need x and w numbers or 1-D arrays of one length, at most {MAX_BATCH // width},"
+            f" got {_short(x)} and {_short(w)}"
+        )
+    xs, ws = xs.astype(float), ws.astype(complex)
+    scales = np.array([unit_scale(a, b) for a, b in zip(xs.tolist(), ws.tolist())], dtype=float)
+    return xs, ws, scales
+
+
+def require_weights(w) -> list:
+    """A 1-D array of at most MAX_BATCH numbers, as a list; anything else raises DomainError (invalid-grid)."""
+    try:
+        array = np.asarray(w)
+    except (TypeError, ValueError):  # e.g. a ragged list
+        array = None
+    if array is None or array.ndim != 1 or array.dtype.kind not in "iufc" or array.size > MAX_BATCH:
+        raise DomainError(
+            f"invalid-grid: need w a number or a 1-D array of at most {MAX_BATCH} numbers, got {_short(w)}"
+        )
+    return array.tolist()
+
+
 def unit_scale(x, w) -> float:
     """|x| * max(|w|, 1/|w|), the working magnitude of the generating function sums.
 

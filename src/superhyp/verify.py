@@ -29,6 +29,10 @@ from .errors import (
     require_x,
 )
 
+# spacing of the subnormal doubles, and the smallest normal one
+_SUBNORMAL = math.ulp(0.0)
+_TINY = float(np.finfo(float).tiny)
+
 DEFAULT_GRIDS = {
     "pauli_n": tuple(range(2, 17)),
     "superhyp_n": tuple(range(2, 9)),
@@ -216,7 +220,19 @@ def verify_mixed(n_values=None, trials=None, seed=0, tol=None) -> tuple[dict, li
 
 
 def verify_bessel(x_values=None, kmax=None, w_values=None, tol=None) -> tuple[dict, list]:
-    """Classical summation identities, three-term recurrence, generating function."""
+    """Classical summation identities, three-term recurrence, generating function.
+
+    recurrence: I_{k-1}(x) - I_{k+1}(x) = (2k/x) I_k(x) for k = 1..20, on
+    one table of orders 0..22.  Error model: besides its rounding, a table
+    value stored as 0 or as a subnormal double (|I_i| < 2^-1022, u_i = 1,
+    else u_i = 0) is off by up to 2^-1074, the spacing of the subnormals.
+    The two sides then differ by up to tol |I_{k-1}| + U, with the
+    underflow term U = 2^-1074 (u_{k-1} + u_{k+1} + (2k/|x|) u_k), so the
+    case reports |lhs - rhs| / (|I_{k-1}| + U/tol) against tol, and U in
+    its details where it is not 0.  With no such value (every x of the
+    default grid) U = 0 and the residual is |lhs - rhs| / |I_{k-1}|.
+    generating_function: one call per x for all weights (one table).
+    """
     x_values = _grid(x_values, "bessel_x", _x)
     if kmax is not None:
         kmax = require_order(kmax)
@@ -237,23 +253,27 @@ def verify_bessel(x_values=None, kmax=None, w_values=None, tol=None) -> tuple[di
             )
         if x != 0:
             table = bessel.bessel_table(22, x).values
+            lost = (np.abs(table) < _TINY).tolist()  # stored as 0 or as a subnormal
             for k in range(1, 21):
-                # at tiny |x| the orders underflow to 0 and 2k/x can overflow:
-                # an order that is 0 adds 0, and sides that agree are no defect,
-                # where inf * 0 and 0 / 0 would give a NaN residual
+                # at tiny |x| the orders underflow to 0 and 2k/x can overflow, where
+                # 2k I_k / x stays finite (and 0 for an order that is 0); sides
+                # that agree are no defect, where 0 / 0 would give a NaN residual
                 lhs = table[k - 1] - table[k + 1]
-                rhs = (2.0 * k / x) * table[k] if table[k] else 0.0
+                factor = 2.0 * k / x
+                rhs = factor * table[k] if math.isfinite(factor) else 2.0 * k * table[k] / x
+                underflow = _SUBNORMAL * (lost[k - 1] + lost[k + 1]) + lost[k] * (2 * k * _SUBNORMAL / abs(x))
                 cases.append(
                     _case(
                         {"x": x, "k": k, "identity": "recurrence"},
-                        abs(lhs - rhs) / abs(table[k - 1]) if lhs != rhs else 0.0,
+                        abs(lhs - rhs) / (abs(table[k - 1]) + underflow / t["recurrence"]) if lhs != rhs else 0.0,
                         t["recurrence"],
+                        underflow=underflow or None,
                     )
                 )
     for x in [x for x in x_values if abs(x) <= 5]:
         K_gen = int(2 * (abs(x) + 20))
-        for w in w_values:
-            residual = bessel.generating_function_residual(x, w, K_gen)
+        residuals = bessel.generating_function_residual(x, w_values, K_gen).tolist()
+        for w, residual in zip(w_values, residuals):
             cases.append(
                 _case(
                     {"x": x, "K": K_gen, "identity": "generating_function", "w": complex_payload(w)},
@@ -271,45 +291,37 @@ def verify_genmatrix(n_values=None, x_values=None, w_values=None, tol=None) -> t
     x_values = _grid(x_values, "genmatrix_x", _x)
     w_values = _grid(w_values, "w_values", complex)
     t = _tols("genmatrix", tol)
+    cells = [(x, w) for x in x_values for w in w_values]
+    xs = np.array([x for x, _ in cells])
+    ws = np.array([w for _, w in cells], dtype=complex)
     cases = []
     for n in n_values:
-        for x in x_values:
-            for w in w_values:
-                scale = math.exp(genmatrix.unit_scale(x, w))
-                w_pay = complex_payload(w)
-                js = np.arange(n)
-                # every class per route in one call: trace_projection is entry -j mod n of
-                # one column; the residuals take Python's abs of each complex (tolist), as
-                # per-class calls did, where np.abs can differ in the last bit
-                traces = genmatrix.generating_column(n, x, w)[-js % n].tolist()
-                sums = genmatrix.exponential_sum(n, x, w, js).tolist()
-                combs = genmatrix.bessel_comb_column(n, x, w).tolist()
-                totals = 0j
-                for j, (tr, es, comb) in enumerate(zip(traces, sums, combs)):
-                    totals += tr
-                    base = {"n": n, "x": x, "j": j, "w": w_pay}
-                    cases.append(
-                        _case(
-                            {**base, "check": "trace_vs_sum"},
-                            abs(tr - es),
-                            t["trace_vs_sum"] * scale,
-                        )
-                    )
-                    cases.append(
-                        _case(
-                            {**base, "check": "trace_vs_bessel"},
-                            abs(tr - comb),
-                            t["trace_vs_bessel"] * scale,
-                        )
-                    )
-                generating = cmath.exp((x / 2.0) * (w + 1.0 / w))
+        # every cell and class per route in one call: trace_projection is entry -j mod n
+        # of the column; the residuals take Python's abs of each complex (tolist), as
+        # one-cell calls did, where np.abs can differ in the last bit
+        js = np.arange(n)
+        traces = genmatrix.generating_column(n, xs, ws)[:, -js % n].tolist()
+        sums = genmatrix.exponential_sum(n, xs, ws, js).tolist()
+        combs = genmatrix.bessel_comb_column(n, xs, ws).tolist()
+        for (x, w), trace_row, sum_row, comb_row in zip(cells, traces, sums, combs):
+            scale = math.exp(genmatrix.unit_scale(x, w))
+            w_pay = complex_payload(w)
+            totals = 0j
+            for j, (tr, es, comb) in enumerate(zip(trace_row, sum_row, comb_row)):
+                totals += tr
+                base = {"n": n, "x": x, "j": j, "w": w_pay}
+                cases.append(_case({**base, "check": "trace_vs_sum"}, abs(tr - es), t["trace_vs_sum"] * scale))
                 cases.append(
-                    _case(
-                        {"n": n, "x": x, "w": w_pay, "check": "completeness"},
-                        abs(totals - generating),
-                        t["completeness"] * scale,
-                    )
+                    _case({**base, "check": "trace_vs_bessel"}, abs(tr - comb), t["trace_vs_bessel"] * scale)
                 )
+            generating = cmath.exp((x / 2.0) * (w + 1.0 / w))
+            cases.append(
+                _case(
+                    {"n": n, "x": x, "w": w_pay, "check": "completeness"},
+                    abs(totals - generating),
+                    t["completeness"] * scale,
+                )
+            )
     params = {
         "n_values": n_values,
         "x_values": x_values,

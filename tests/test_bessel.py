@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import mpmath
@@ -210,6 +211,32 @@ def test_generating_function_at_the_weight_bound_past_181_orders(x, w):
     # 50^300 alone would overflow; orders whose I_k(x) underflowed add nothing
     residual = bessel.generating_function_residual(x, w, 300)
     assert residual <= 1e-12 * math.exp(bessel.unit_scale(x, w))
+
+
+def test_generating_function_weights_share_one_table(monkeypatch):
+    weights = [1.0, 0.8, cmath.exp(1j * math.pi / 5), 1.7 - 0.4j, 10.0]
+    for x in (0.0, 0.5, -1.0, 5.0):
+        one = [bessel.generating_function_residual(x, w, 60) for w in weights]
+        tables = []
+        table = bessel.bessel_table
+        with monkeypatch.context() as patch:
+            patch.setattr(bessel, "bessel_table", lambda kmax, arg: tables.append(arg) or table(kmax, arg))
+            many = bessel.generating_function_residual(x, np.array(weights), 60)
+        assert tables == [x]
+        assert many.tobytes() == np.array(one).tobytes()
+        assert bessel.generating_function_residual(x, weights, 60).tobytes() == many.tobytes()
+
+
+def test_generating_function_weights_raise_their_one_weight_error():
+    for x, weights, bad in ((1.0, [1.0, 0.0, 60.0], 1), (1.0, [0.8, 60.0], 1), (0.0, [1.0, 1e-200], 1)):
+        with pytest.raises(DomainError) as one:
+            bessel.generating_function_residual(x, weights[bad], 40)
+        with pytest.raises(DomainError) as many:
+            bessel.generating_function_residual(x, weights, 40)
+        assert str(many.value) == str(one.value)
+    for weights in ([[1.0]], ["a"], [None], [[1.0], [1.0, 2.0]]):
+        with pytest.raises(DomainError, match="invalid-grid"):
+            bessel.generating_function_residual(1.0, weights, 40)
 
 
 def test_generating_function_residual_monotone_in_truncation():

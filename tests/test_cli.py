@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import superhyp
-from superhyp import cli, hyperbolic, verify
+from superhyp import cli, genmatrix, hyperbolic, verify
 
 
 def run_cli(capsys, *argv):
@@ -74,6 +74,25 @@ def test_eval_trace_is_cosh(capsys):
     record = json.loads(out)
     assert abs(record["value"]["re"] - 1.5430806348152437) <= 1e-12
     assert abs(record["value"]["im"]) <= 1e-14
+
+
+def test_eval_trace_is_the_per_point_loop_byte_for_byte(capsys):
+    # one trace_projection call per level over 121 x: the lines of one call per point
+    argv = ["eval", "trace", "--n", "2,5,64", "--x", "-20..20:0.3333333", "--w", "0.8,0.3", "--j", "1"]
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    args = cli.build_parser().parse_args(argv)
+    assert len(args.x) >= 100
+    records = [
+        {
+            "op": "trace",
+            "params": {"n": n, "x": x, "w": verify.complex_payload(args.w), "j": 1},
+            "value": verify.complex_payload(genmatrix.trace_projection(n, x, args.w, 1)),
+        }
+        for n in args.n
+        for x in args.x
+    ]
+    assert out == "\n".join(json.dumps(r, sort_keys=True) for r in records) + "\n"
 
 
 def test_eval_emits_one_json_object_per_grid_point(capsys):

@@ -115,7 +115,7 @@ def test_bessel_comb_column_is_the_scalar_sum_up_to_the_powers(n):
     for x in (0.5, 2.0, -3.0, 0.0):
         for w in (*W_SET, 1.7 - 0.4j):
             K = [genmatrix.default_comb_truncation(n, x, w, j) for j in range(n)]
-            values = bessel.bessel_table(max(K), x).values
+            values = bessel.bessel_table(genmatrix.comb_table_order(n), x).values
             want = [_comb_sum(values, n, w, j, K[j]) for j in range(n)]
             bound = 8 * eps * math.exp(genmatrix.unit_scale(x, w))
             assert np.abs(genmatrix.bessel_comb_column(n, x, w) - want).max() <= bound, (n, x, w)
@@ -160,19 +160,25 @@ def test_trace_projection_allocates_no_matrix_at_the_level_cap():
 
 
 def test_exponential_sums_of_every_class_hold_no_plane_at_the_level_cap():
-    # the phases s^(l*j) of all classes at once would be a 256 MiB complex plane
+    # the phases s^(l*j) of all classes at once would be a 256 MiB complex plane,
+    # and T of them for T cells
     js = np.arange(MAX_LEVEL)
+    xs, ws = np.array([1.0, -0.5]), np.array([0.8, W_SET[2]])
     genmatrix.exponential_sum(MAX_LEVEL, 1.0, 0.8, js[:1])  # warm numpy's caches
-    tracemalloc.start()
-    try:
-        sums = genmatrix.exponential_sum(MAX_LEVEL, 1.0, 0.8, js)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert sums.shape == (MAX_LEVEL,)
-    assert peak < 8 * algebra.BLOCK * 16, peak
+    genmatrix.exponential_sum(MAX_LEVEL, xs, ws, js[:1])
+    for x, w, shape in ((1.0, 0.8, (MAX_LEVEL,)), (xs, ws, (2, MAX_LEVEL))):
+        tracemalloc.start()
+        try:
+            sums = genmatrix.exponential_sum(MAX_LEVEL, x, w, js)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sums.shape == shape
+        # the result, plus the working arrays of one block
+        assert peak < sums.nbytes + 8 * algebra.BLOCK * 16, peak
     for j in (0, 1, MAX_LEVEL // 3, MAX_LEVEL - 1):
-        assert sums[j] == genmatrix.exponential_sum(MAX_LEVEL, 1.0, 0.8, j)
+        assert sums[0, j] == genmatrix.exponential_sum(MAX_LEVEL, 1.0, 0.8, j)
+        assert sums[1, j] == genmatrix.exponential_sum(MAX_LEVEL, -0.5, W_SET[2], j)
 
 
 @pytest.mark.parametrize("n", [*range(2, 17), 64, 256])
@@ -215,7 +221,7 @@ def test_column_routes_match_their_per_class_forms():
         for j in range(n):
             assert genmatrix.trace_projection(n, x, w, j) == col[-j % n]
             K = genmatrix.default_comb_truncation(n, x, w, j)
-            # one table at the largest truncation against a table per class:
+            # one table at comb_table_order(n) against a table per class:
             # the Miller start order differs, so they agree to rounding
             assert abs(combs[j] - genmatrix.bessel_comb_series(n, x, w, j, K)) <= 1e-14 * scale
 
@@ -352,3 +358,109 @@ def test_order_classes_against_independent_bessel():
             order = 3 * k - j
             expected += scipy.special.iv(abs(order), x) * w**order
         assert abs(genmatrix.trace_projection(3, x, w, j) - expected) <= 1e-10
+
+
+def _random_cells(rng, T):
+    # cells with |x| <= 20 and |w| in [0.5, 2], the first x repeated with w = e^(i pi/5)
+    x = rng.uniform(-20.0, 20.0, T)
+    w = rng.uniform(0.5, 2.0, T) * np.exp(1j * rng.uniform(-math.pi, math.pi, T))
+    return np.append(x, x[0]), np.append(w, W_SET[2])
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 64])
+def test_cell_rows_are_the_one_cell_calls_bit_for_bit(n):
+    xs, ws = _random_cells(np.random.default_rng(n), 12)
+    js = np.arange(n)
+    routes = (
+        lambda x, w: genmatrix.generating_column(n, x, w),
+        lambda x, w: genmatrix.trace_projection(n, x, w, n - 1),
+        lambda x, w: genmatrix.exponential_sum(n, x, w, js),
+        lambda x, w: genmatrix.exponential_sum(n, x, w, 1),
+        lambda x, w: genmatrix.bessel_comb_column(n, x, w),
+    )
+    for route in routes:
+        rows = route(xs, ws)
+        assert rows.shape[0] == xs.size
+        for t, (x, w) in enumerate(zip(xs.tolist(), ws.tolist())):
+            assert np.asarray(rows[t]).tobytes() == np.asarray(route(x, w)).tobytes(), (t, x, w)
+        # lists are cell arrays too, and an empty pair of arrays has no rows
+        assert route(xs.tolist(), ws.tolist()).tobytes() == rows.tobytes()
+        assert route([], []).shape == (0, *rows.shape[1:])
+
+
+def test_bessel_comb_rows_depend_only_on_their_own_cell():
+    # one table per x, sized from n alone: a cell's row is the same whatever shares its call
+    n, x, w = 5, 1.3, 0.8 + 0.2j
+    alone = genmatrix.bessel_comb_column(n, x, w)
+    for xs, ws, t in (([x, 20.0], [w, 1.0], 0), ([-20.0, x, 0.0], [2.0, w, 1.0], 1), ([x] * 3, [0.5, 2.0, w], 2)):
+        assert genmatrix.bessel_comb_column(n, xs, ws)[t].tobytes() == alone.tobytes()
+
+
+@pytest.mark.parametrize(
+    "route",
+    [
+        lambda n, x, w: genmatrix.generating_column(n, x, w),
+        lambda n, x, w: genmatrix.trace_projection(n, x, w, 0),
+        lambda n, x, w: genmatrix.exponential_sum(n, x, w, np.arange(n)),
+        lambda n, x, w: genmatrix.bessel_comb_column(n, x, w),
+    ],
+)
+def test_a_bad_cell_raises_its_one_cell_error(route):
+    # the first bad cell, in order, names itself through its one-cell message
+    for xs, ws, bad in (
+        ([0.5, 60.0, 1.0], [1.0, 1.0, 0.0], 1),
+        ([0.5, 1.0, 30.0], [1.0, 0.0, 0.2], 1),
+        ([0.5, 30.0, 1.0], [0.8, 0.2, 1.0], 1),
+        ([math.nan], [1.0], 0),
+        ([0.0, 0.0], [1.0, 1e-200], 1),
+    ):
+        with pytest.raises(DomainError) as one:
+            route(3, xs[bad], ws[bad])
+        with pytest.raises(DomainError) as cells:
+            route(3, xs, ws)
+        assert str(cells.value) == str(one.value)
+    # cells of two lengths, a number against an array, 2-D or non-numeric cells
+    for xs, ws in (
+        ([0.5, 1.0], [1.0]),
+        (np.array([0.5, 1.0]), 1.0),
+        (0.5, [1.0, 0.8]),
+        ([[0.5]], [[1.0]]),
+        (["a"], [1.0]),
+        ([0.5], [None]),
+        ([1j], [1.0]),
+        ([[0.5], [1.0, 2.0]], [1.0, 1.0]),
+    ):
+        with pytest.raises(DomainError, match="invalid-grid"):
+            route(3, xs, ws)
+
+
+def test_cell_arrays_keep_to_the_batch_cap():
+    # T cells times the entries each keeps: 10001 cells of 4096 classes exceed MAX_BATCH
+    xs, ws = np.ones(10_001), np.ones(10_001)
+    with pytest.raises(DomainError, match="invalid-grid"):
+        genmatrix.exponential_sum(MAX_LEVEL, xs, ws, np.arange(MAX_LEVEL))
+    with pytest.raises(DomainError, match="invalid-grid"):
+        genmatrix.generating_column(MAX_LEVEL, xs, ws)
+
+
+def test_bessel_comb_column_builds_one_table_per_distinct_x(monkeypatch):
+    orders = []
+
+    def counted(kmax, x):
+        orders.append((kmax, x))
+        return bessel.bessel_table(kmax, x)
+
+    monkeypatch.setattr(genmatrix, "bessel_table", counted)
+    monkeypatch.setattr(algebra, "BLOCK", 1)  # one cell per block: tables carry over between blocks
+    xs = [2.0, 0.5, 2.0, -1.0, 0.5, 2.0]
+    genmatrix.bessel_comb_column(7, xs, [1.0, 0.8, W_SET[2], 1.0, 1.5, 0.8])
+    assert sorted(x for _, x in orders) == [-1.0, 0.5, 2.0]
+    assert {kmax for kmax, _ in orders} == {genmatrix.comb_table_order(7)}
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 64, 100, 4096])
+def test_comb_table_order_covers_every_admissible_truncation(n):
+    kmax = genmatrix.comb_table_order(n)
+    for x, w in ((50.0, 1.0), (-50.0, 1.0), (1.0, 50.0), (0.0, 0.02), (25.0, 2.0), (0.5, 0.8)):
+        assert genmatrix.default_comb_truncation(n, x, w, np.arange(n)).max() <= kmax
+    assert kmax == genmatrix.default_comb_truncation(n, 50.0, 1.0, np.arange(n)).max()

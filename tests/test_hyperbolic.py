@@ -69,6 +69,13 @@ def test_series_column_blocks_do_not_change_rows(monkeypatch, n):
     xs = np.linspace(-30.0, 30.0, 11)
     pair = (xs / 3.0, np.linspace(2.5, -3.0, 11))
     js = np.arange(11) * 7 % n
+    # (x, w) cells with repeated and negative x and w = e^(i pi/5)
+    cells = (
+        np.array([-4.0, 1.3, 1.3, 0.0, 2.5, -4.0, 1.3, 7.0, 1.3, -0.5, 2.5]),
+        np.resize([math.e ** (1j * math.pi / 5), 0.8, 1.2 - 0.3j], 11),
+    )
+    kmax = genmatrix.comb_table_order(n)
+    comb_width = n * ((kmax + n - 1) // n + kmax // n + 1)  # entries of a cell's terms array
     for kernel, width, args in (
         (hyperbolic.series_column, n, (n, xs)),
         (hyperbolic.filter_column, n, (n, xs)),
@@ -77,6 +84,9 @@ def test_series_column_blocks_do_not_change_rows(monkeypatch, n):
         (hyperbolic.addition_residual, n * n, (n, *pair)),
         (hyperbolic.mixed_product_residual, n * n, (n, *pair)),
         (genmatrix.exponential_sum, n, (n, 1.3, 0.8 + 0.3j, js)),
+        (genmatrix.generating_column, n, (n, *cells)),
+        (genmatrix.exponential_sum, n, (n, *cells, js)),  # blocks of (cell, class) pairs
+        (genmatrix.bessel_comb_column, comb_width, (n, *cells)),
     ):
         whole = kernel(*args)
         for rows in (3, 1):

@@ -155,9 +155,9 @@ def test_batched_genmatrix_equals_the_per_class_loop():
             for w in verify.DEFAULT_GRIDS["w_values"]:
                 scale = math.exp(genmatrix.unit_scale(x, w))
                 w_pay = verify.complex_payload(w)
-                # the Bessel sums on one table at the largest class truncation, on Python's powers
+                # the Bessel sums on the column's table (sized from n alone), on Python's powers
                 K = [genmatrix.default_comb_truncation(n, x, w, j) for j in range(n)]
-                table = bessel.bessel_table(max(K), x).values
+                table = bessel.bessel_table(genmatrix.comb_table_order(n), x).values
                 totals = 0j
                 for j in range(n):
                     tr = genmatrix.trace_projection(n, x, w, j)
@@ -190,6 +190,90 @@ def _circle_key(case):
     # (check, N, mode) per lattice, (check, N, alpha) per weyl case
     inputs = case.inputs
     return inputs["check"], inputs["N"], inputs.get("mode", inputs.get("alpha"))
+
+
+def test_genmatrix_makes_one_call_per_route_per_level(monkeypatch):
+    calls = collections.Counter()
+    tables = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(n, *args):
+            calls[name, n] += 1
+            return fn(n, *args)
+
+        return wrapper
+
+    for name in ("generating_column", "exponential_sum", "bessel_comb_column"):
+        monkeypatch.setattr(genmatrix, name, counted(name, getattr(genmatrix, name)))
+    table = genmatrix.bessel_table
+
+    def counted_table(kmax, x):
+        tables[kmax] += 1
+        return table(kmax, x)
+
+    monkeypatch.setattr(genmatrix, "bessel_table", counted_table)
+    n_values = [2, 3, 64]
+    x_values = [0.5, -2.0, 0.5, 1.0]  # a repeated x shares its table
+    report = verify.run_suite("genmatrix", n_values=n_values, x_values=x_values)
+    assert report.passed
+    routes = ("generating_column", "exponential_sum", "bessel_comb_column")
+    assert calls == {(route, n): 1 for route in routes for n in n_values}
+    assert tables == {genmatrix.comb_table_order(n): len(set(x_values)) for n in n_values}
+
+
+def test_bessel_builds_one_table_per_call(monkeypatch):
+    # four classic tables, four recurrence tables and one generating-function table
+    # for each x <= 5 (three weights each): 11, where one table per weight made 17
+    orders = []
+    table = bessel.bessel_table
+
+    def counted(kmax, x):
+        orders.append(kmax)
+        return table(kmax, x)
+
+    monkeypatch.setattr(bessel, "bessel_table", counted)
+    verify.run_suite("bessel")
+    assert len(orders) == 11
+    assert orders.count(22) == 4
+
+
+@pytest.mark.parametrize("x", [1e-16, -1e-16, 1e-300, 5e-324, -5e-324, 1e-310, 2.225073858507e-311, 1e-320])
+def test_recurrence_passes_where_the_orders_underflow(x):
+    # I_k(x) underflows to 0 or to a subnormal while I_{k-1}(x) does not: the
+    # case allows 2^-1074 per such value, scaled by 2k/|x| for I_k
+    report = verify.run_suite("bessel", x_values=[x])
+    recurrence = [c for c in report.cases if c.inputs["identity"] == "recurrence"]
+    assert len(recurrence) == 20
+    assert report.passed, [(c.inputs, c.residual) for c in report.cases if not c.passed]
+    assert any("underflow" in c.details for c in recurrence)
+
+
+@pytest.mark.parametrize("x", [0.5, 5.0, -10.0, 1e-6, 1e-16, -1e-16, 1e-300])
+def test_recurrence_still_fails_on_a_wrong_order(monkeypatch, x):
+    # order k of the table, a normal double, scaled by 1 + 1e-6: the case at k fails
+    table = bessel.bessel_table
+    normal = [k for k in range(1, 21) if abs(table(22, x).values[k]) >= np.finfo(float).tiny]
+    assert normal
+    for k in normal:
+
+        def wrong(kmax, arg, k=k):
+            good = table(kmax, arg)
+            values = good.values.copy()
+            values[k] *= 1 + 1e-6
+            return bessel.BesselTable(good.x, good.kmax, values, good.norm_residual)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(bessel, "bessel_table", wrong)
+            report = verify.run_suite("bessel", x_values=[x])
+        failed = {c.inputs["k"] for c in report.cases if c.inputs["identity"] == "recurrence" and not c.passed}
+        assert k in failed, (x, k)
+
+
+def test_default_bessel_report_has_no_underflow_term():
+    report = verify.run_suite("bessel")
+    recurrence = [c for c in report.cases if c.inputs["identity"] == "recurrence"]
+    assert len(recurrence) == 80
+    assert all(not c.details and c.tolerance == 1e-9 for c in recurrence)
 
 
 @pytest.mark.parametrize("N", [1, 2, 5, 20])
