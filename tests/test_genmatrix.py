@@ -166,19 +166,20 @@ def test_exponential_sums_of_every_class_hold_no_plane_at_the_level_cap():
     xs, ws = np.array([1.0, -0.5]), np.array([0.8, W_SET[2]])
     genmatrix.exponential_sum(MAX_LEVEL, 1.0, 0.8, js[:1])  # warm numpy's caches
     genmatrix.exponential_sum(MAX_LEVEL, xs, ws, js[:1])
-    for x, w, shape in ((1.0, 0.8, (MAX_LEVEL,)), (xs, ws, (2, MAX_LEVEL))):
+    results = []
+    for x, w in ((1.0, 0.8), (xs, ws)):
         tracemalloc.start()
         try:
-            sums = genmatrix.exponential_sum(MAX_LEVEL, x, w, js)
+            results.append(genmatrix.exponential_sum(MAX_LEVEL, x, w, js))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert sums.shape == shape
-        # the result, plus the working arrays of one block
-        assert peak < sums.nbytes + 8 * algebra.BLOCK * 16, peak
+        assert peak < 8 * algebra.BLOCK * 16, peak
+    sums, cells = results
+    assert sums.shape == (MAX_LEVEL,) and cells.shape == (2, MAX_LEVEL)
     for j in (0, 1, MAX_LEVEL // 3, MAX_LEVEL - 1):
-        assert sums[0, j] == genmatrix.exponential_sum(MAX_LEVEL, 1.0, 0.8, j)
-        assert sums[1, j] == genmatrix.exponential_sum(MAX_LEVEL, -0.5, W_SET[2], j)
+        assert sums[j] == cells[0, j] == genmatrix.exponential_sum(MAX_LEVEL, 1.0, 0.8, j)
+        assert cells[1, j] == genmatrix.exponential_sum(MAX_LEVEL, -0.5, W_SET[2], j)
 
 
 @pytest.mark.parametrize("n", [*range(2, 17), 64, 256])
@@ -369,6 +370,7 @@ def _random_cells(rng, T):
 
 @pytest.mark.parametrize("n", [2, 3, 7, 64])
 def test_cell_rows_are_the_one_cell_calls_bit_for_bit(n):
+    # so a row depends on its own cell alone, whatever shares its call or its block
     xs, ws = _random_cells(np.random.default_rng(n), 12)
     js = np.arange(n)
     routes = (
@@ -386,14 +388,6 @@ def test_cell_rows_are_the_one_cell_calls_bit_for_bit(n):
         # lists are cell arrays too, and an empty pair of arrays has no rows
         assert route(xs.tolist(), ws.tolist()).tobytes() == rows.tobytes()
         assert route([], []).shape == (0, *rows.shape[1:])
-
-
-def test_bessel_comb_rows_depend_only_on_their_own_cell():
-    # one table per x, sized from n alone: a cell's row is the same whatever shares its call
-    n, x, w = 5, 1.3, 0.8 + 0.2j
-    alone = genmatrix.bessel_comb_column(n, x, w)
-    for xs, ws, t in (([x, 20.0], [w, 1.0], 0), ([-20.0, x, 0.0], [2.0, w, 1.0], 1), ([x] * 3, [0.5, 2.0, w], 2)):
-        assert genmatrix.bessel_comb_column(n, xs, ws)[t].tobytes() == alone.tobytes()
 
 
 @pytest.mark.parametrize(
