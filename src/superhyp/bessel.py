@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import MAX_ORDER, _is_number, require_order, require_weights, require_x, unit_scale
+from .errors import MAX_ORDER, require_order, require_weights, require_x, unit_scale
 
 X_MAX = 700.0
 _SERIES_X_MAX = 20.0
@@ -225,13 +225,13 @@ def generating_function_residual(x: float, w, K: int) -> float | np.ndarray:
     x and w must pass `unit_scale` (ARG_MAX bounds); the truncated
     bilateral sum folds negative orders through I_{-k} = I_k.
     Useful accuracy needs |w| within roughly [0.5, 2], where the w^k
-    tails still decay against I_k.  w may be a 1-D array of weights: the
-    call builds one table for all of them and returns one residual per
-    weight, bit for bit the one-weight call; a bad weight raises the
-    DomainError of its one-weight call.
+    tails still decay against I_k.  w may be a batch of weights (the
+    errors module's rule): the call builds one table for all of them and
+    returns one residual per weight, bit for bit the one-weight call; a
+    bad weight raises the DomainError of its one-weight call.
     """
-    many = not _is_number(w)
-    weights = require_weights(w) if many else [w]
+    batch = require_weights(w)
+    weights = [w] if batch is None else batch
     for v in weights:
         unit_scale(x, v)
     x = float(x)
@@ -241,7 +241,7 @@ def generating_function_residual(x: float, w, K: int) -> float | np.ndarray:
     for v in weights:
         v = complex(v)
         residuals.append(abs(np.exp((x / 2.0) * (v + 1.0 / v)) - _comb_sum(values, 1, v, 0, K)))
-    return np.array(residuals) if many else residuals[0]
+    return residuals[0] if batch is None else np.array(residuals)
 
 
 def _comb_sum(values, n: int, w: complex, j: int, K: int) -> complex:

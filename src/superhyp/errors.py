@@ -5,6 +5,21 @@ keep only their own bound constants (the |x| caps).  The size caps bound
 the memory and work one call may request, so a huge size is a
 DomainError instead of an out-of-memory failure or a loop without end.
 Messages echo the offending value through reprlib, abbreviated when long.
+
+Batches.  `require_xs`, `require_indices`, `require_cells` and
+`require_weights` take a number or a batch of numbers, by one rule.  A
+Python or NumPy scalar is a number, taken as it is.  Anything else is a
+batch if numpy reads it as a 1-D array (a list, tuple, range or array),
+a number if it has no length or numpy reads it as 0-d (None, a 0-d
+array, a string), and otherwise (ragged, or two or more dimensions) a
+DomainError (invalid-grid).  The entries of a batch, if any, must be of
+the reader's numpy kind (real for x, integer for j, complex for w; never
+bool), and its length times `width`, the entries the caller keeps per
+point, at most MAX_BATCH; a length past that is refused before numpy
+builds the array.  Each entry then meets the number's check (for w, the
+caller's unit_scale), so a bad entry raises the DomainError of its own
+number call, and a one-entry batch gives the number's result as a
+one-entry array.
 """
 
 import math
@@ -63,29 +78,12 @@ def require_index(j, n: int) -> int:
 
 
 def require_indices(j, n: int):
-    """`j` through require_index, or a 1-D integer array of indices in 0..n-1.
-
-    An array holds at most MAX_BATCH indices; bools and any other input
-    raise DomainError.
-    """
-    if not isinstance(j, (np.ndarray, list, tuple)) or np.ndim(j) == 0:
+    """`j` through require_index, or a batch of such indices as an int64 array."""
+    array = _vector(j, "iu", 1, "j")
+    if array is None:
         return require_index(j, n)
-    try:
-        array = np.asarray(j)
-    except (TypeError, ValueError):  # e.g. a ragged list
-        array = None
-    if (
-        array is None
-        or array.ndim != 1
-        or array.dtype.kind not in "iu"
-        or array.size > MAX_BATCH
-        or not ((0 <= array) & (array < n)).all()
-    ):
-        raise DomainError(
-            f"invalid-integer: need j an index in [0, {n - 1}] or a 1-D array of at most {MAX_BATCH} of them,"
-            f" got {_short(j)}"
-        )
-    return array
+    _first_outside(array, (0 <= array) & (array < n), lambda v: require_index(v, n))
+    return array.astype(int)
 
 
 def require_order(k, minimum: int = 0) -> int:
@@ -115,85 +113,68 @@ def require_x(x, bound: float) -> float:
 
 
 def require_xs(x, bound: float, width: int = 1):
-    """`x` through require_x, or a 1-D array of such values as a float64 array.
-
-    An array must hold numbers (bools excluded), and its length times
-    `width`, the entries the caller computes per point, must be at most
-    MAX_BATCH.  Any other input raises DomainError; an array with a value
-    outside the range names its first such value, as require_x would.
-    """
-    try:
-        array = np.asarray(x)
-    except (TypeError, ValueError):  # e.g. a ragged list
-        array = None
-    if array is not None and array.ndim == 0:
+    """`x` through require_x, or a batch of such values as a float64 array."""
+    array = _vector(x, "iuf", width, "x")
+    if array is None:
         return require_x(x, bound)
-    if array is None or array.ndim != 1 or array.dtype.kind not in "iuf" or array.size * width > MAX_BATCH:
-        raise DomainError(
-            f"invalid-grid: need x a number or a 1-D array of at most {MAX_BATCH // width} numbers,"
-            f" got {_short(x)}"
-        )
     values = array.astype(float)
-    outside = ~(np.abs(values) <= bound)
-    if outside.any():
-        require_x(array[outside.argmax()].item(), bound)
+    _first_outside(array, np.abs(values) <= bound, lambda v: require_x(v, bound))
     return values
 
 
-_ARRAYS = (np.ndarray, list, tuple)
-
-
-def _is_number(value) -> bool:
-    # anything but a list, a tuple or an array of one or more dimensions
-    return not isinstance(value, _ARRAYS) or isinstance(value, np.ndarray) and value.ndim == 0
-
-
 def require_cells(x, w, width: int = 1):
-    """(x, w, unit_scale(x, w)) of one cell, or of equal-length 1-D arrays of T cells.
+    """(x, w, unit_scale(x, w)) of one cell, or of equal-length batches of T cells.
 
-    Numbers give a float, a complex and their scale.  Arrays give float64
-    x, complex128 w and the float64 scales, each cell checked by
-    unit_scale in turn, so a bad cell raises the DomainError of its
-    one-cell call.  T times `width`, the entries the caller keeps per
-    cell, must be at most MAX_BATCH; arrays of other shapes or of
-    non-numbers raise DomainError (invalid-grid).
+    Numbers give a float, a complex and their scale; batches give float64
+    x, complex128 w and the float64 scales, each cell through unit_scale
+    in turn.  A number against a batch, or batches of two lengths, raise
+    DomainError (invalid-grid).
     """
-    # the isinstance tests are the fast path of _is_number for two plain numbers
-    if not isinstance(x, _ARRAYS) and not isinstance(w, _ARRAYS) or _is_number(x) and _is_number(w):
+    xs, ws = _vector(x, "iuf", width, "x"), _vector(w, "iufc", width, "w")
+    if xs is None and ws is None:
         scale = unit_scale(x, w)
         return float(x), complex(w), scale
-    try:
-        xs, ws = np.asarray(x), np.asarray(w)
-    except (TypeError, ValueError):  # e.g. a ragged list
-        xs = ws = None
-    if (
-        xs is None
-        or xs.ndim != 1
-        or xs.shape != ws.shape
-        or xs.dtype.kind not in "iuf"
-        or ws.dtype.kind not in "iufc"
-        or xs.size * width > MAX_BATCH
-    ):
-        raise DomainError(
-            f"invalid-grid: need x and w numbers or 1-D arrays of one length, at most {MAX_BATCH // width},"
-            f" got {_short(x)} and {_short(w)}"
-        )
+    if xs is None or ws is None or xs.size != ws.size:
+        raise DomainError(f"invalid-grid: need x and w both numbers or of one length, got {_short(x)} and {_short(w)}")
     xs, ws = xs.astype(float), ws.astype(complex)
     scales = np.array([unit_scale(a, b) for a, b in zip(xs.tolist(), ws.tolist())], dtype=float)
     return xs, ws, scales
 
 
-def require_weights(w) -> list:
-    """A 1-D array of at most MAX_BATCH numbers, as a list; anything else raises DomainError (invalid-grid)."""
+def require_weights(w) -> list | None:
+    """None for a number w, or a batch of weights as a list; each weight is the caller's to check."""
+    array = _vector(w, "iufc", 1, "w")
+    return None if array is None else array.tolist()
+
+
+def _vector(value, kinds: str, width: int, name: str):
+    """None for a number, else `value` as a 1-D array of a dtype kind in `kinds`: the batch rule above."""
+    if isinstance(value, (int, float, complex, np.generic)):
+        return None
     try:
-        array = np.asarray(w)
+        size = len(value)
+    except TypeError:  # None, a 0-d array
+        return None
+    except OverflowError:  # a range too long for len()
+        size = math.inf
+    try:
+        array = np.asarray(value) if size * width <= MAX_BATCH else None
     except (TypeError, ValueError):  # e.g. a ragged list
         array = None
-    if array is None or array.ndim != 1 or array.dtype.kind not in "iufc" or array.size > MAX_BATCH:
+    if array is not None and array.ndim == 0:  # e.g. a string
+        return None
+    if array is None or array.ndim != 1 or array.size and array.dtype.kind not in kinds:
         raise DomainError(
-            f"invalid-grid: need w a number or a 1-D array of at most {MAX_BATCH} numbers, got {_short(w)}"
+            f"invalid-grid: need {name} a number or a 1-D array of at most {MAX_BATCH // max(width, 1)} of them,"
+            f" got {_short(value)}"
         )
-    return array.tolist()
+    return array
+
+
+def _first_outside(array, inside, check) -> None:
+    # the number check's DomainError for the first entry of the batch not `inside`
+    if not inside.all():
+        check(array[inside.argmin()].item())
 
 
 def unit_scale(x, w) -> float:

@@ -19,8 +19,9 @@ all n traces with exp((x/2)(w + 1/w)).
 
 `generating_column`, `trace_projection`, `exponential_sum` and
 `bessel_comb_column` also take x and w as equal-length 1-D arrays of T
-cells (errors.require_cells): row t is bit for bit the call on cell t
-alone, and numbers keep their own shape and scalar path.  The cells go
+cells (batches: the errors module's rule says what one is, and caps its
+size): row t is bit for bit the call on cell t alone, and numbers keep
+their own shape.  The cells go
 through the block loop `algebra._blocked` at width n (the columns, and
 `exponential_sum`'s flattened (cell, class) pairs), so no T x n x n or
 n x n plane is formed; `bessel_comb_column` builds one Bessel table per
@@ -64,10 +65,8 @@ def _eigenvalues(roots, x, w) -> np.ndarray:
 
 
 def _columns(n: int, x, w, entries) -> np.ndarray:
-    """The picked `entries` of the generating column of checked cells: one FFT, or blocks of width n."""
+    """The picked `entries` of the generating column of checked cells, in blocks of width n."""
     roots = roots_of_unity(n)
-    if not isinstance(x, np.ndarray):
-        return circulant_column(_eigenvalues(roots, x, w))[entries]
     return _blocked(lambda xs, ws: circulant_column(_eigenvalues(roots, xs[:, None], ws[:, None]))[:, entries], n, x, w)
 
 
@@ -122,7 +121,10 @@ def exponential_sum(n: int, x, w, j) -> complex | np.ndarray:
     T give shape (T,) for an int j and (T, J) for an array.  The phases
     s^(l*j) are taken block_rows(n) classes (for cells, flattened
     (cell, class) pairs) at a time (_blocked, width n), so the working
-    arrays hold O(BLOCK + n) entries, never an n x n plane.
+    arrays hold O(BLOCK + n) entries, never an n x n plane.  One cell
+    with an int j keeps its own one-row kernel, in half the time of the
+    blocked path: per-cell callers take it, batches of cells or classes
+    (verify genmatrix) the blocked path.
     """
     n = require_level(n)
     j = require_indices(j, n)

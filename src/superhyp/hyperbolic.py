@@ -28,7 +28,8 @@ The series, filter and residual functions (`series_column`,
 `filter_column`, `c_all`, `exp_circulant`, `series_residuals`,
 `fundamental_identity_residual`, `polynomial_identity_residual`,
 `addition_residual`, `mixed_product_residual`) take x (and y) as a float
-or as a 1-D array of T points.  A float gives the per-point shape, an
+or as a 1-D array of T points (a batch: the errors module's rule says
+what one is, and caps its size).  A float gives the per-point shape, an
 array one row per point, and row t is bit for bit the call at point t:
 the rows share one series pass, one FFT, one stack of circulants and
 one batched LU, so a grid costs one call instead of T.  Each kernel
@@ -36,9 +37,8 @@ takes its points block_rows(width) rows at a time through the block
 loop `algebra._blocked` (width n for series and filter columns, n^2 for
 the circulants of the determinant and of the addition and mixed
 residuals), so its working arrays hold O(BLOCK + n^2) entries beyond
-its result.  An array whose points times the entries each keeps for the
-whole call exceeds errors.MAX_BATCH is a DomainError.  The identity
-residuals take |x| <= IDENTITY_X_MAX (10).
+its result; the entries a point keeps for the whole call are its width
+under that cap.  The identity residuals take |x| <= IDENTITY_X_MAX (10).
 
 Error model: for x >= 0 every series term is nonnegative and the sums
 are accurate to relative machine precision.  For x < 0 the partial sums
@@ -50,6 +50,7 @@ scale their tolerances accordingly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from reprlib import repr as _short
 
 import numpy as np
 
@@ -269,16 +270,21 @@ def fundamental_identity_residual(n: int, x) -> float | np.ndarray:
 def polynomial_identity(n: int, values) -> np.ndarray:
     """P_n(c_0..c_{n-1}), the printed determinant polynomial, for n in {2, 3, 4}.
 
-    values holds the classes, shape (n,) or one row per point (T, n).
-    Each power is Python's float ** int, value by value: numpy's
-    vectorised power can differ from it in the last bit.  A power that
-    overflows a double raises DomainError.
+    values holds the classes, shape (n,) or one row per point (T, n); any
+    other shape is a DomainError.  Each power is Python's float ** int,
+    value by value: numpy's vectorised power can differ from it in the
+    last bit.  A power that overflows a double raises DomainError.
     """
     if n not in POLY_IDENTITY_MONOMIALS:
         raise DomainError(
             f"invalid-level: expanded polynomial known for n in (2, 3, 4), got {n!r}"
         )
-    rows = np.atleast_2d(values)
+    try:
+        rows = np.atleast_2d(values)
+    except ValueError:  # a ragged list
+        rows = None
+    if rows is None or rows.ndim != 2 or rows.shape[1] != n:
+        raise DomainError(f"invalid-grid: need {n} class values, shape ({n},) or (T, {n}), got {_short(values)}")
     total = 0.0
     for coeff, powers in POLY_IDENTITY_MONOMIALS[n]:
         term = coeff

@@ -15,11 +15,14 @@ from superhyp.errors import (
     MAX_LEVEL,
     MAX_ORDER,
     DomainError,
+    require_cells,
     require_half_width,
     require_index,
+    require_indices,
     require_int,
     require_level,
     require_order,
+    require_weights,
     require_x,
     require_xs,
     unit_scale,
@@ -76,6 +79,136 @@ def test_real_checks_return_float_or_raise_domain_error(value):
     assert type(same) is float and same == result
     for form in listed:
         assert require_xs(form, 700.0).tobytes() == np.array([result]).tobytes()
+
+
+# the four batch readers, each with the number kinds its batches hold and
+# the width it is called with (require_indices and require_weights keep one entry per point)
+READERS = {
+    "x": (lambda v, width=1: require_xs(v, 700.0, width), "iuf"),
+    "j": (lambda v, width=1: require_indices(v, 7), "iu"),
+    "cell": (lambda v, width=1: require_cells(v, v, width), "iuf"),
+    "w": (lambda v, width=1: require_weights(v), "iufc"),
+}
+
+
+MALFORMED = st.one_of(
+    st.lists(st.lists(st.integers(1, 5), min_size=1, max_size=3), min_size=2, max_size=4).filter(
+        lambda rows: len({len(row) for row in rows}) > 1
+    ),
+    st.tuples(st.integers(0, 3), st.integers(0, 3)).map(np.ones),
+    st.lists(st.lists(st.integers(1, 5), min_size=2, max_size=2), min_size=1, max_size=3),
+    st.lists(st.booleans(), min_size=1, max_size=4),
+    st.lists(st.booleans(), min_size=1, max_size=4).map(np.array),
+    st.lists(st.sampled_from(["1", "a", ""]), min_size=1, max_size=3),
+    st.lists(st.sampled_from([None, 10**400, -(10**400), "1", 1]), min_size=1, max_size=3).filter(
+        lambda v: any(e is None or isinstance(e, str) or abs(e) > 1 for e in v)
+    ),
+    st.lists(st.integers(1, 5), min_size=1, max_size=3).map(lambda v: np.array(v, dtype=object)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(MALFORMED)
+def test_every_batch_reader_refuses_a_malformed_container_with_domain_error(value):
+    # never a TypeError, ValueError or OverflowError from numpy or from the checks
+    for read, _ in READERS.values():
+        with pytest.raises(DomainError, match="invalid-grid"):
+            read(value)
+    for x, w in ((value, [1.0]), ([1.0], value)):
+        with pytest.raises(DomainError, match="invalid-grid"):
+            require_cells(x, w)
+
+
+@pytest.mark.parametrize("reader", READERS)
+def test_a_batch_one_entry_past_the_cap_is_refused_unbuilt(reader):
+    # a range and a broadcast view hold their entries unallocated; the last range is too long for len()
+    read, _ = READERS[reader]
+    width = MAX_LEVEL if reader in ("x", "cell") else 1
+    most = MAX_BATCH // width
+    for value in (range(most + 1), np.broadcast_to(1, (most + 1,)), range(10**30)):
+        with pytest.raises(DomainError, match="invalid-grid"):
+            read(value, width)
+
+
+def _same(a, b):
+    # equal values of one dtype, entry by entry (a cell result is a tuple of three arrays)
+    if isinstance(a, tuple):
+        return all(_same(p, q) for p, q in zip(a, b, strict=True))
+    if isinstance(a, list):
+        return a == b
+    return a.dtype.kind == b.dtype.kind and a.tobytes() == np.asarray(b, a.dtype).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 6), st.booleans())
+def test_a_list_tuple_range_or_array_is_one_batch_in_every_reader(start, length, floats):
+    values = range(start, min(start + length, 7))  # valid for every reader: x, j < 7, nonzero w
+    forms = [list(values), tuple(values), np.array(values, dtype=int), np.array(values, dtype=np.int32)]
+    if floats:
+        forms = [[float(v) for v in values], np.array(values, dtype=float)]
+    else:
+        forms.append(values)
+    for name, (read, _) in READERS.items():
+        if floats and name == "j":
+            continue
+        first = read(forms[0])
+        for form in forms[1:]:
+            assert _same(first, read(form)), (name, form)
+    assert require_xs(forms[0], 700.0).tolist() == list(values)
+    assert require_weights(forms[0]) == list(values)
+    xs, ws, scales = require_cells(forms[0], forms[0])
+    assert xs.tolist() == ws.real.tolist() == list(values)
+    assert scales.tolist() == [v * max(v, 1 / v) for v in values]
+    if not floats:
+        assert require_indices(forms[0], 7).tolist() == list(values)
+
+
+ONE_ENTRY_VALUE = st.one_of(
+    st.integers(-10, 10),
+    st.sampled_from([2**63, 10**400, -(10**400)]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.complex_numbers(allow_nan=True, allow_infinity=True),
+    st.booleans(),
+    st.none(),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ONE_ENTRY_VALUE)
+def test_a_one_entry_batch_gives_the_numbers_result(value):
+    # a number that is refused is refused in a batch too; an admitted one
+    # comes back as a one-entry array, as does its kernel's result for w
+    readers = dict(READERS, w=(lambda v: bessel.generating_function_residual(0.5, v, 30), "iufc"))
+    containers = [[value], (value,), np.array([value])]
+    if type(value) is int:
+        containers.append(range(value, value + 1))
+    for name, (read, kinds) in readers.items():
+        try:
+            result = read(value)
+        except DomainError:
+            for container in containers:
+                with pytest.raises(DomainError):
+                    read(container)
+            continue
+        for container in containers:
+            if np.asarray(container).dtype.kind not in kinds:  # an integral float is an index, not a batch of them
+                with pytest.raises(DomainError, match="invalid-grid"):
+                    read(container)
+                continue
+            expected = tuple(map(np.array, [[r] for r in result])) if name == "cell" else np.array([result])
+            assert _same(expected, read(container)), (name, container)
+
+
+def test_an_empty_list_is_an_empty_batch_in_every_reader():
+    # numpy reads [] as float64, which holds no entry of another kind
+    assert require_xs([], 700.0).shape == require_indices([], 7).shape == (0,)
+    assert require_indices([], 7).dtype == np.int64
+    assert all(part.shape == (0,) for part in require_cells([], []))
+    assert require_weights(()) == []
+    assert genmatrix.exponential_sum(3, 1.0, 1.0, []).shape == (0,)
+    # no cap to quote for a call that keeps no entries per point
+    with pytest.raises(DomainError, match="invalid-grid"):
+        genmatrix.exponential_sum(3, [[1.0]], [[1.0]], np.array([], dtype=int))
 
 
 @settings(max_examples=300, deadline=None)

@@ -468,6 +468,29 @@ def test_polynomial_identity_rejects_other_levels():
         hyperbolic.polynomial_identity_residual(5, 1.0)
 
 
+@pytest.mark.parametrize(
+    "n, values",
+    [
+        (3, [1.0, 2.0]),
+        (3, [1.0, 2.0, 3.0, 4.0]),
+        (2, [[1.0], [2.0]]),
+        (2, np.ones((2, 2, 4))),
+        (2, [[1.0, 0.5], [1.0]]),
+        (2, 1.0),
+    ],
+)
+def test_polynomial_identity_takes_n_classes_per_row_only(n, values):
+    # a row of another length would have lost or ignored classes in the monomials
+    with pytest.raises(DomainError, match="invalid-grid"):
+        hyperbolic.polynomial_identity(n, values)
+
+
+def test_polynomial_identity_keeps_its_row_shapes():
+    assert hyperbolic.polynomial_identity(2, [1.0, 0.5]) == 0.75
+    assert hyperbolic.polynomial_identity(2, [[1.0, 0.5], [2.0, 1.0]]).tolist() == [0.75, 3.0]
+    assert hyperbolic.polynomial_identity(3, np.empty((0, 3))).shape == (0,)
+
+
 @pytest.mark.parametrize("n, x", [(2, 400.0), (4, -180.0), (3, 355.0)])
 def test_polynomial_overflow_is_a_domain_error(n, x):
     # Python's float ** int raises OverflowError past the largest double
