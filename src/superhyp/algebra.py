@@ -100,9 +100,7 @@ def circulant(col) -> np.ndarray:
     (-1, +1) elements: O(n) time and memory, 2n - 1 entries per
     circulant, no n^2 copy and no index arrays.  The view is marked
     read-only because every row shares rev's entries; np.array(m) gives
-    a writable C-ordered copy.  numpy's matmul does not order its sums
-    on such a view as it does on a contiguous array, so a caller whose
-    product must carry BLAS's bits copies first (np.ascontiguousarray).
+    a writable C-ordered copy.  numpy's matmul reads the view in place.
     """
     col = np.asarray(col)
     n = col.shape[-1]

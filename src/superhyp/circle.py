@@ -51,12 +51,13 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from reprlib import repr as _short
 
 import numpy as np
 
 from .algebra import mat_exp
 from .bessel import bessel_i
-from .errors import ARG_MAX, DomainError, require_half_width, require_int, require_x, unit_scale
+from .errors import ARG_MAX, DomainError, as_number, require_half_width, require_int, require_x, unit_scale
 
 MODES = ("cyclic", "open")
 X_MAX = 30.0
@@ -107,10 +108,10 @@ def build_lattice(N: int, mode: str = "cyclic", alpha: float = 0.0) -> LatticeOp
     N = require_half_width(N)
     if mode not in MODES:
         raise DomainError(f"invalid-mode: expected one of {MODES}, got {mode!r}")
-    alpha = float(alpha)
-    if not 0.0 <= alpha < 1.0:
-        raise DomainError(f"invalid-gauge: need 0 <= alpha < 1, got {alpha!r}")
-    return LatticeOperators(N=N, mode=mode, alpha=alpha)
+    value = as_number(alpha)
+    if not 0.0 <= value < 1.0:
+        raise DomainError(f"invalid-gauge: need 0 <= alpha < 1, got {_short(alpha)}")
+    return LatticeOperators(N=N, mode=mode, alpha=value)
 
 
 @dataclass(frozen=True)

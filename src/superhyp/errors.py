@@ -96,17 +96,17 @@ def require_half_width(N) -> int:
     return require_int(N, "half-width N", 1, (MAX_LEVEL - 1) // 2)
 
 
-def _real(value) -> float:
-    # value as a float, or nan (which every range test rejects) for bools and non-reals
+def as_number(value, kind=float):
+    """kind(value) (float or complex), or kind(nan), which every range test rejects, for a bool or a non-number."""
     try:
-        return math.nan if isinstance(value, bool) else float(value)
+        return kind(math.nan if isinstance(value, bool) else value)
     except (TypeError, ValueError, OverflowError):
-        return math.nan
+        return kind(math.nan)
 
 
 def require_x(x, bound: float) -> float:
     """`x` as a float with |x| <= bound, hence finite."""
-    value = _real(x)
+    value = as_number(x)
     if not abs(value) <= bound:
         raise DomainError(f"overflow-domain: need |x| <= {bound}, got {_short(x)}")
     return value
@@ -192,10 +192,7 @@ def unit_scale(x, w) -> float:
     exp(x^2/(4(k+1))) < 1e-80 while I_k(x) >= 5e-324, so |w|^(+-k) < 1e244.
     """
     x = require_x(x, ARG_MAX)
-    try:
-        w = complex(math.nan if isinstance(w, bool) else w)
-    except (TypeError, ValueError, OverflowError):
-        w = complex(math.nan)
+    w = as_number(w, complex)
     r = math.hypot(w.real, w.imag)  # inf, not OverflowError, for huge finite w
     radius = max(r, 1.0 / r) if r else math.inf
     scale = abs(x) * radius

@@ -34,11 +34,12 @@ array one row per point, and row t is bit for bit the call at point t:
 the rows share one series pass, one FFT, one stack of circulants and
 one batched LU, so a grid costs one call instead of T.  Each kernel
 takes its points block_rows(width) rows at a time through the block
-loop `algebra._blocked` (width n for series and filter columns, n^2 for
-the circulants of the determinant and of the addition and mixed
-residuals), so its working arrays hold O(BLOCK + n^2) entries beyond
-its result; the entries a point keeps for the whole call are its width
-under that cap.  The identity residuals take |x| <= IDENTITY_X_MAX (10).
+loop `algebra._blocked`, at width n (the addition and mixed residuals
+read the circulant views in place) except the determinant's, at n^2
+for the dense matrices its LU factors, so its working arrays hold
+O(BLOCK + n^2) entries beyond its result; the entries a point keeps
+for the whole call are its width under that cap.  The identity
+residuals take |x| <= IDENTITY_X_MAX (10).
 
 Error model: for x >= 0 every series term is nonnegative and the sums
 are accurate to relative machine precision.  For x < 0 the partial sums
@@ -271,9 +272,10 @@ def polynomial_identity(n: int, values) -> np.ndarray:
     """P_n(c_0..c_{n-1}), the printed determinant polynomial, for n in {2, 3, 4}.
 
     values holds the classes, shape (n,) or one row per point (T, n); any
-    other shape is a DomainError.  Each power is Python's float ** int,
-    value by value: numpy's vectorised power can differ from it in the
-    last bit.  A power that overflows a double raises DomainError.
+    other shape, or a value that is not a number, is a DomainError.  Each
+    power is Python's float ** int, value by value: numpy's vectorised
+    power can differ from it in the last bit.  A power that overflows a
+    double raises DomainError.
     """
     if n not in POLY_IDENTITY_MONOMIALS:
         raise DomainError(
@@ -293,6 +295,8 @@ def polynomial_identity(n: int, values) -> np.ndarray:
                 term = term * np.array([v**p for v in column])
             except OverflowError:
                 raise DomainError(f"overflow-domain: a class value to the power {p} overflows a double") from None
+            except TypeError:  # e.g. None or a string
+                raise DomainError(f"invalid-grid: need class values that are numbers, got {_short(values)}") from None
         total = total + term
     return total if np.ndim(values) == 2 else total[0]
 
@@ -331,7 +335,8 @@ def series_residuals(n: int, x) -> np.ndarray:
 
 def _pair_rows(n: int, x, y) -> tuple[int, float | np.ndarray, float | np.ndarray]:
     # n, x and y (|.| <= 10): both floats, or 1-D of one length; a point keeps n
-    # residuals, its series and circulant live only in its block (_blocked)
+    # residuals, its series and circulant view (2n - 1 entries) live only in its
+    # block of width n (_blocked)
     n = require_level(n)
     x = require_xs(x, IDENTITY_X_MAX, n)
     y = require_xs(y, IDENTITY_X_MAX, n)
@@ -346,19 +351,16 @@ def addition_residual(n: int, x, y) -> np.ndarray:
     The right side is the cyclic convolution of the series columns at x
     and y, i.e. the circulant of c(y) applied to c(x).  Floats x, y give
     shape (n,); 1-D x, y of length T give (T, n), one series call per
-    block of width n^2 (_blocked), whose products use dense circulants
-    (contiguous copies of algebra.circulant's views): O(BLOCK + n^2)
-    circulant entries at once, never T * n^2.
+    block of width n (_blocked), whose products read algebra.circulant's
+    views in place: O(BLOCK) entries at once, no n x n matrix.
     """
     n, x, y = _pair_rows(n, x, y)
 
     def block(xs, ys):
         cx, cy, cxy = np.split(series_column(n, np.concatenate((xs, ys, xs + ys))), 3)
-        # a contiguous copy of the circulant view keeps BLAS's summation order
-        conv = (np.ascontiguousarray(circulant(cy)) @ cx[:, :, None])[:, :, 0]
-        return np.abs(cxy - conv)
+        return np.abs(cxy - (circulant(cy) @ cx[:, :, None])[:, :, 0])
 
-    return _blocked(block, n * n, x, y)
+    return _blocked(block, n, x, y)
 
 
 def mixed_product_residual(n: int, x, y) -> np.ndarray:
@@ -377,7 +379,7 @@ def mixed_product_residual(n: int, x, y) -> np.ndarray:
     def block(xs, ys):
         cx, cy = np.split(series_column(n, np.concatenate((xs, ys))), 2)
         rhs = circulant_column(np.exp(np.multiply.outer(xs, roots) + np.multiply.outer(ys, np.conj(roots))))
-        lhs = (cx[:, None, :] @ np.ascontiguousarray(circulant(cy)))[:, 0, :]
+        lhs = (cx[:, None, :] @ circulant(cy))[:, 0, :]
         return np.abs(lhs - _real_column(rhs, np.exp(np.abs(xs) + np.abs(ys))))
 
-    return _blocked(block, n * n, x, y)
+    return _blocked(block, n, x, y)

@@ -15,6 +15,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
+from reprlib import repr as _short
 
 import numpy as np
 
@@ -22,11 +23,13 @@ from . import algebra, bessel, circle, genmatrix, hyperbolic
 from .errors import (
     MAX_GRID_POINTS,
     DomainError,
+    as_number,
     require_half_width,
     require_int,
     require_level,
     require_order,
     require_x,
+    unit_scale,
 )
 
 # spacing of the subnormal doubles, and the smallest normal one
@@ -120,13 +123,23 @@ def _grid(values, key: str, check) -> list:
     A grid holds 1..MAX_GRID_POINTS points, the cap of a command-line grid.
     """
     values = DEFAULT_GRIDS[key] if values is None else values
-    if not 0 < len(values) <= MAX_GRID_POINTS:
-        raise DomainError(f"invalid-grid: the {key} grid needs 1 to {MAX_GRID_POINTS} points, got {len(values)}")
+    try:
+        size = len(values)
+    except (TypeError, OverflowError):  # a number, or a range too long for len()
+        size = math.inf
+    if not 0 < size <= MAX_GRID_POINTS:
+        raise DomainError(f"invalid-grid: the {key} grid needs 1 to {MAX_GRID_POINTS} points, got {_short(values)}")
     return [check(v) for v in values]
 
 
 def _x(x) -> float:
     return require_x(x, hyperbolic.X_MAX)
+
+
+def _w(w) -> complex:
+    # a weight inside the bounds of the generating-function checks at x = 0
+    unit_scale(0.0, w)
+    return complex(w)
 
 
 def _trials_seed(trials, key: str, seed) -> tuple[int, int]:
@@ -139,6 +152,9 @@ def _trials_seed(trials, key: str, seed) -> tuple[int, int]:
 
 
 def _tols(suite: str, tol):
+    """DEFAULT_TOLERANCES[suite], or the caller's tol, a number >= 0, for every check."""
+    if tol is not None and not as_number(tol) >= 0.0:
+        raise DomainError(f"invalid-tolerance: need tol a number >= 0, got {_short(tol)}")
     return {key: base if tol is None else float(tol) for key, base in DEFAULT_TOLERANCES[suite].items()}
 
 
@@ -236,7 +252,7 @@ def verify_bessel(x_values=None, kmax=None, w_values=None, tol=None) -> tuple[di
     x_values = _grid(x_values, "bessel_x", _x)
     if kmax is not None:
         kmax = require_order(kmax)
-    w_values = _grid(w_values, "w_values", complex)
+    w_values = _grid(w_values, "w_values", _w)
     t = _tols("bessel", tol)
     # without a caller's kmax the truncation follows x, up from the default
     orders = [
@@ -289,7 +305,7 @@ def verify_genmatrix(n_values=None, x_values=None, w_values=None, tol=None) -> t
     """Three-way agreement of the trace projections, plus class completeness."""
     n_values = _grid(n_values, "genmatrix_n", require_level)
     x_values = _grid(x_values, "genmatrix_x", _x)
-    w_values = _grid(w_values, "w_values", complex)
+    w_values = _grid(w_values, "w_values", _w)
     t = _tols("genmatrix", tol)
     cells = [(x, w) for x in x_values for w in w_values]
     xs = np.array([x for x, _ in cells])
@@ -339,7 +355,7 @@ def verify_circle(N_values=None, mode=None, alphas=None, tol=None) -> tuple[dict
     """
     N_values = _grid(N_values, "circle_N", require_half_width)
     modes = list(circle.MODES) if mode is None else [mode]
-    alphas = _grid(alphas, "circle_alphas", float)
+    alphas = _grid(alphas, "circle_alphas", lambda a: circle.build_lattice(1, alpha=a).alpha)
     t = _tols("circle", tol)
     cases = []
     for N in N_values:

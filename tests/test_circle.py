@@ -39,6 +39,9 @@ def test_build_guards():
         circle.build_lattice(2, alpha=1.0)
     with pytest.raises(DomainError):
         circle.build_lattice(2, alpha=-0.1)
+    for alpha in (None, "x", np.nan):
+        with pytest.raises(DomainError, match="invalid-gauge"):
+            circle.build_lattice(1, alpha=alpha)
 
 
 def _eager_lattice(N, mode, alpha):

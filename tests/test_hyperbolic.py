@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from superhyp import algebra, genmatrix, hyperbolic
-from superhyp.errors import DomainError, ValidationError
+from superhyp.errors import MAX_LEVEL, DomainError, ValidationError
 
 
 def series_oracle(n, j, x):
@@ -81,8 +81,8 @@ def test_series_column_blocks_do_not_change_rows(monkeypatch, n):
         (hyperbolic.filter_column, n, (n, xs)),
         (hyperbolic.series_residuals, n, (n, xs)),
         (hyperbolic.fundamental_identity_residual, n * n, (n, pair[0])),
-        (hyperbolic.addition_residual, n * n, (n, *pair)),
-        (hyperbolic.mixed_product_residual, n * n, (n, *pair)),
+        (hyperbolic.addition_residual, n, (n, *pair)),
+        (hyperbolic.mixed_product_residual, n, (n, *pair)),
         (genmatrix.exponential_sum, n, (n, 1.3, 0.8 + 0.3j, js)),
         (genmatrix.generating_column, n, (n, *cells)),
         (genmatrix.exponential_sum, n, (n, *cells, js)),  # blocks of (cell, class) pairs
@@ -97,16 +97,18 @@ def test_series_column_blocks_do_not_change_rows(monkeypatch, n):
     assert hyperbolic.series_column(n, []).shape == (0, n)
 
 
-def test_residual_blocks_bound_the_circulant_stack():
-    # 30 contiguous 1024 x 1024 circulants would take 240 MiB; a block holds one
+@pytest.mark.parametrize("n", [1024, MAX_LEVEL])
+@pytest.mark.parametrize("kernel", ["addition_residual", "mixed_product_residual"])
+def test_pair_residuals_hold_no_dense_circulant(kernel, n):
+    # one dense n x n circulant is 128 MiB at n = 4096; the views hold 2n - 1 entries a point
     xs = np.linspace(-3.0, 3.0, 30)
     tracemalloc.start()
     try:
-        hyperbolic.addition_residual(1024, xs, xs[::-1])
+        getattr(hyperbolic, kernel)(n, xs, xs[::-1])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3 * 1024**2 * 8, peak
+    assert peak < 16 * 1024**2, peak
 
 
 @pytest.mark.parametrize("n", [3, 256])
@@ -477,6 +479,9 @@ def test_polynomial_identity_rejects_other_levels():
         (2, np.ones((2, 2, 4))),
         (2, [[1.0, 0.5], [1.0]]),
         (2, 1.0),
+        (2, [None, None]),
+        (2, ["a", "b"]),
+        (3, [[1.0, 0.5, 2.0], [1.0, None, 2.0]]),
     ],
 )
 def test_polynomial_identity_takes_n_classes_per_row_only(n, values):
@@ -489,6 +494,8 @@ def test_polynomial_identity_keeps_its_row_shapes():
     assert hyperbolic.polynomial_identity(2, [1.0, 0.5]) == 0.75
     assert hyperbolic.polynomial_identity(2, [[1.0, 0.5], [2.0, 1.0]]).tolist() == [0.75, 3.0]
     assert hyperbolic.polynomial_identity(3, np.empty((0, 3))).shape == (0,)
+    assert hyperbolic.polynomial_identity(2, [1.0 + 1.0j, 0.5j]) == 0.25 + 2.0j
+    assert hyperbolic.polynomial_identity(2, np.array([3, 2], dtype=object)) == 5.0
 
 
 @pytest.mark.parametrize("n, x", [(2, 400.0), (4, -180.0), (3, 355.0)])
@@ -551,20 +558,29 @@ def test_circulant_residuals_match_the_loop_forms_to_rounding(n):
             new(n, points[0, 0], points[:, 1])
 
 
-@pytest.mark.parametrize("n", range(2, 9))
-def test_pair_residuals_multiply_a_contiguous_circulant_bit_for_bit(n):
-    # numpy's matmul sums in another order on the strided circulant view than
-    # BLAS on a contiguous copy; the verify reports carry the contiguous bits
+def _assert_near_fsum_rows(got, products, right):
+    # got[t, j] against |right[t, j] - fsum(products[t, j])| within n * eps * sum |products[t, j]|
+    # (n - 1 rounded additions, then the subtraction), which is 0 where every product is 0
+    want = [[abs(r - math.fsum(p)) for p, r in zip(*point)] for point in zip(products.tolist(), right.tolist())]
+    moved = np.abs(got - np.array(want))
+    bound = products.shape[-1] * _EPS * np.abs(products).sum(axis=-1)
+    assert (moved <= bound).all(), np.max(moved / np.where(bound > 0, bound, 1.0))
+
+
+@pytest.mark.parametrize("n", [*range(2, 9), 64, 257])
+def test_pair_residuals_match_an_fsum_convolution_to_rounding(n):
+    # the kernels sum the products c_k(x) c_{j -+ k}(y) in their own order; an exactly
+    # rounded sum of the same products moves each residual by at most n eps sum |products|
     rng = np.random.default_rng(40 + n)
     xs, ys = rng.uniform(-3.0, 3.0, size=(2, 16))
+    xs[0] = ys[0] = 0.0  # c(0) is the unit vector: classes j != 0 have no nonzero product
+    j, k = np.indices((n, n))
     cx, cy, cxy = np.split(hyperbolic.series_column(n, np.concatenate((xs, ys, xs + ys))), 3)
-    want = np.abs(cxy - (np.array(algebra.circulant(cy)) @ cx[:, :, None])[:, :, 0])
-    assert hyperbolic.addition_residual(n, xs, ys).tobytes() == want.tobytes()
+    _assert_near_fsum_rows(hyperbolic.addition_residual(n, xs, ys), cx[:, None, :] * cy[:, (j - k) % n], cxy)
     cx, cy = np.split(hyperbolic.series_column(n, np.concatenate((xs, ys))), 2)
     roots = algebra.roots_of_unity(n)
     rhs = algebra.circulant_column(np.exp(np.multiply.outer(xs, roots) + np.multiply.outer(ys, np.conj(roots))))
-    want = np.abs((cx[:, None, :] @ np.array(algebra.circulant(cy)))[:, 0, :] - rhs.real)
-    assert hyperbolic.mixed_product_residual(n, xs, ys).tobytes() == want.tobytes()
+    _assert_near_fsum_rows(hyperbolic.mixed_product_residual(n, xs, ys), cx[:, None, :] * cy[:, (k - j) % n], rhs.real)
 
 
 def test_addition_with_zero_recovers_values():

@@ -31,11 +31,38 @@ from superhyp.errors import MAX_GRID_POINTS, DomainError
         ("mixed", {"seed": -1}),
         ("circle", {"mode": ""}),
         ("superhyp", {"n_values": [2], "x_values": [0.5] * (MAX_GRID_POINTS + 1)}),
+        ("pauli", {"n_values": 5}),
+        ("circle", {"alphas": 0.5}),
+        ("genmatrix", {"w_values": [None]}),
+        ("bessel", {"w_values": [None]}),
+        ("genmatrix", {"w_values": ["x"]}),
+        ("bessel", {"w_values": ["x"]}),
+        ("bessel", {"x_values": [10.0], "w_values": [0.0]}),  # no generating-function case reads w
+        ("circle", {"alphas": [None]}),
+        ("circle", {"alphas": ["x"]}),
+        ("superhyp", {"tol": "abc"}),
+        ("superhyp", {"tol": -1}),
+        ("superhyp", {"tol": math.nan}),
     ],
 )
 def test_grids_go_through_the_shared_validators(suite, kwargs):
     with pytest.raises(DomainError):
         verify.run_suite(suite, **kwargs)
+
+
+def test_a_zero_tolerance_is_valid():
+    # the circle base tolerances are 0.0 already
+    report = verify.run_suite("circle", N_values=[2], tol=0)
+    assert report.params["tol"]["commutator"] == 0.0
+    assert report.params["tol"]["weyl"] == 0.0
+
+
+@pytest.mark.parametrize("suite", ["addition", "mixed"])
+def test_pair_suites_pass_on_the_wide_level_grid(suite):
+    # levels 2..32, where the addition check comes closest to its tolerance
+    report = verify.run_suite(suite, n_values=range(2, 33))
+    assert len(report.cases) == {"addition": 3100, "mixed": 26350}[suite]
+    assert report.passed, max(c.residual / c.tolerance for c in report.cases)
 
 
 def test_default_grids_are_reported_as_before():
