@@ -1,6 +1,8 @@
 """Dense complex linear algebra for cyclic clock-and-shift systems.
 
-Everything here is a pure function of its arguments. Matrices are numpy
+Everything here is a pure function of its arguments, with one bounded
+memo: `roots_of_unity` builds the roots of a level once and returns
+that one read-only array on every later call. Matrices are numpy
 arrays, complex128 unless their values are real: mat_exp keeps a real
 argument float64, and circulant keeps the dtype of its column.  A
 circulant is a read-only strided view of O(n) entries, not a dense
@@ -12,6 +14,7 @@ here, `_blocked`, block_rows(width) rows at a time.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -28,6 +31,8 @@ _BLOCK_IDENTITY = _INV_FACTORIAL[0:16:4]
 _SQRT_TINY = math.sqrt(np.finfo(float).tiny)  # 2^-511, exactly
 # entries a batched kernel's working arrays hold per block of rows (block_rows)
 BLOCK = 2**16
+# levels whose roots of unity roots_of_unity keeps
+ROOTS_MEMO = 64
 
 
 def max_abs(a) -> float:
@@ -46,9 +51,20 @@ def shift_matrix(n: int) -> np.ndarray:
 
 
 def roots_of_unity(n: int) -> np.ndarray:
-    """The n-th roots of unity s^k, k = 0..n-1, with s = exp(2*pi*i/n)."""
-    n = require_level(n)
-    return np.exp(2j * np.pi * np.arange(n) / n)
+    """The n-th roots of unity s^k, k = 0..n-1, with s = exp(2*pi*i/n), as a read-only array.
+
+    Each level's array is computed once and shared by every later call,
+    in a memo of the last ROOTS_MEMO levels (at most 4 MiB at MAX_LEVEL);
+    np.array(roots) gives a writable copy.
+    """
+    return _roots(require_level(n))
+
+
+@functools.lru_cache(maxsize=ROOTS_MEMO)
+def _roots(n: int) -> np.ndarray:
+    roots = np.exp(2j * np.pi * np.arange(n) / n)
+    roots.flags.writeable = False
+    return roots
 
 
 def block_rows(width: int) -> int:
@@ -123,9 +139,16 @@ def clock_matrix(n: int) -> np.ndarray:
 
 
 def shift_power(n: int, j: int) -> np.ndarray:
-    """j-th power of the cyclic shift, as a permutation matrix."""
+    """j-th power of the cyclic shift, as a permutation matrix: 1 at ((k + j) mod n, k).
+
+    j is reduced mod n in Python first, so any int works; the ones are
+    scattered into zeros, in O(n) writes.
+    """
     n = require_level(n)
-    return np.roll(np.eye(n, dtype=complex), j % n, axis=0)
+    k = np.arange(n)
+    m = np.zeros((n, n), dtype=complex)
+    m[k, np.roll(k, j % n)] = 1.0  # row i holds its one at column (i - j) mod n
+    return m
 
 
 def dft_matrix(n: int) -> np.ndarray:

@@ -34,6 +34,11 @@ MAX_LEVEL = 4096
 MAX_ORDER = 100_000
 # Most points in one CLI grid; a range's count is checked before its list is built.
 MAX_GRID_POINTS = 10_000
+# Most cases one verify suite over random trials may report: trials times
+# the levels for addition, trials times the sum of the levels for mixed.
+# A case costs about 3 KB in the report and its JSON output, so a suite
+# run stays below about 350 MB; the cap is checked before any kernel runs.
+MAX_CASES = 100_000
 # Most entries per row times rows that a call over a 1-D array of x may
 # request: the largest CLI grid at the largest level.  A row counts the
 # entries the call keeps for all of its rows; the working arrays of a
@@ -86,6 +91,12 @@ def require_indices(j, n: int):
     return array.astype(int)
 
 
+def require_cases(count: int, what: str) -> None:
+    """Raise DomainError (invalid-grid) if a suite's `count` cases exceed MAX_CASES."""
+    if count > MAX_CASES:
+        raise DomainError(f"invalid-grid: need at most {MAX_CASES} cases in {what}, got {count}")
+
+
 def require_order(k, minimum: int = 0) -> int:
     """A Bessel order or truncation in minimum..MAX_ORDER."""
     return require_int(k, "order", minimum, MAX_ORDER)
@@ -126,9 +137,11 @@ def require_cells(x, w, width: int = 1):
     """(x, w, unit_scale(x, w)) of one cell, or of equal-length batches of T cells.
 
     Numbers give a float, a complex and their scale; batches give float64
-    x, complex128 w and the float64 scales, each cell through unit_scale
-    in turn.  A number against a batch, or batches of two lengths, raise
-    DomainError (invalid-grid).
+    x, complex128 w and the float64 scales, each bit for bit unit_scale of
+    its cell, taken as array operations; the first cell outside the bounds
+    raises unit_scale's DomainError on its entries as the caller gave them.
+    A number against a batch, or batches of two lengths, raise DomainError
+    (invalid-grid).
     """
     xs, ws = _vector(x, "iuf", width, "x"), _vector(w, "iufc", width, "w")
     if xs is None and ws is None:
@@ -136,9 +149,18 @@ def require_cells(x, w, width: int = 1):
         return float(x), complex(w), scale
     if xs is None or ws is None or xs.size != ws.size:
         raise DomainError(f"invalid-grid: need x and w both numbers or of one length, got {_short(x)} and {_short(w)}")
-    xs, ws = xs.astype(float), ws.astype(complex)
-    scales = np.array([unit_scale(a, b) for a, b in zip(xs.tolist(), ws.tolist())], dtype=float)
-    return xs, ws, scales
+    x, w = xs.astype(float), ws.astype(complex)
+    # unit_scale's arithmetic on every cell at once: math.hypot's radii, whose last
+    # bit np.hypot does not always share, then IEEE divisions, maxima and products
+    r = np.array([math.hypot(v.real, v.imag) for v in w.tolist()], dtype=float)
+    with np.errstate(all="ignore"):  # inf and nan cells fail the bounds below
+        radius = np.maximum(r, 1.0 / r)  # inf at r = 0, as unit_scale's
+        scales = np.abs(x) * radius
+    inside = (np.abs(x) <= ARG_MAX) & (radius <= ARG_MAX) & (scales <= ARG_MAX)
+    if not inside.all():
+        bad = inside.argmin()
+        unit_scale(xs[bad].item(), ws[bad].item())
+    return x, w, scales
 
 
 def require_weights(w) -> list | None:
@@ -192,8 +214,8 @@ def unit_scale(x, w) -> float:
     exp(x^2/(4(k+1))) < 1e-80 while I_k(x) >= 5e-324, so |w|^(+-k) < 1e244.
     """
     x = require_x(x, ARG_MAX)
-    w = as_number(w, complex)
-    r = math.hypot(w.real, w.imag)  # inf, not OverflowError, for huge finite w
+    v = as_number(w, complex)
+    r = math.hypot(v.real, v.imag)  # inf, not OverflowError, for huge finite w
     radius = max(r, 1.0 / r) if r else math.inf
     scale = abs(x) * radius
     if not (radius <= ARG_MAX and scale <= ARG_MAX):

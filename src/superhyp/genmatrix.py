@@ -65,8 +65,14 @@ def _eigenvalues(roots, x, w) -> np.ndarray:
 
 
 def _columns(n: int, x, w, entries) -> np.ndarray:
-    """The picked `entries` of the generating column of checked cells, in blocks of width n."""
+    """The picked `entries` of the generating column of checked cells, in blocks of width n.
+
+    One cell (numbers x, w) takes the column directly, bit for bit its
+    row in a batch.
+    """
     roots = roots_of_unity(n)
+    if not isinstance(x, np.ndarray):
+        return circulant_column(_eigenvalues(roots, x, w))[entries]
     return _blocked(lambda xs, ws: circulant_column(_eigenvalues(roots, xs[:, None], ws[:, None]))[:, entries], n, x, w)
 
 

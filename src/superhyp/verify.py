@@ -24,6 +24,7 @@ from .errors import (
     MAX_GRID_POINTS,
     DomainError,
     as_number,
+    require_cases,
     require_half_width,
     require_int,
     require_level,
@@ -204,6 +205,7 @@ def verify_addition(n_values=None, trials=None, seed=0, tol=None) -> tuple[dict,
     """Addition formulas on seeded random points in [-3, 3]^2."""
     n_values = _grid(n_values, "addition_n", require_level)
     trials, seed = _trials_seed(trials, "addition_trials", seed)
+    require_cases(trials * len(n_values), "verify addition (trials x levels)")
     t = _tols("addition", tol)
     rng = np.random.default_rng(seed)
     cases = []
@@ -220,6 +222,7 @@ def verify_mixed(n_values=None, trials=None, seed=0, tol=None) -> tuple[dict, li
     """Mixed bilinear relations, all class indices, seeded random points."""
     n_values = _grid(n_values, "mixed_n", require_level)
     trials, seed = _trials_seed(trials, "mixed_trials", seed)
+    require_cases(trials * sum(n_values), "verify mixed (trials x sum of levels)")
     t = _tols("mixed", tol)
     rng = np.random.default_rng(seed)
     cases = []

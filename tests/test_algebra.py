@@ -364,12 +364,41 @@ def test_context_relations_hold(n):
     assert max(residuals.values()) <= 1e-13, residuals
 
 
-def test_shift_power_matches_repeated_product():
-    s = algebra.shift_matrix(5)
+@pytest.mark.parametrize("n", [2, 3, 5, 64, 256])
+def test_shift_power_matches_repeated_product(n):
+    # the scattered permutation is the rolled identity bit for bit, for any int j
+    for j in (-n - 1, -1, 0, 1, n, 2 * n + 3, 10**30):
+        power = algebra.shift_power(n, j)
+        rolled = np.roll(np.eye(n, dtype=complex), j % n, axis=0)
+        assert power.dtype == rolled.dtype and power.tobytes() == rolled.tobytes()
+    s = algebra.shift_matrix(n)
     for j in range(7):
-        np.testing.assert_array_equal(
-            algebra.shift_power(5, j), np.linalg.matrix_power(s, j % 5)
-        )
+        np.testing.assert_array_equal(algebra.shift_power(n, j), np.linalg.matrix_power(s, j % n))
+
+
+@pytest.mark.parametrize("n", [2, 3, 64, 4096])
+def test_roots_of_unity_are_the_exponentials_bit_for_bit(n):
+    roots = algebra.roots_of_unity(n)
+    assert roots.tobytes() == np.exp(2j * np.pi * np.arange(n) / n).tobytes()
+    assert algebra.roots_of_unity(float(n)) is roots
+
+
+def test_roots_of_unity_are_read_only():
+    roots = algebra.roots_of_unity(8)
+    with pytest.raises(ValueError):
+        roots[0] = 2.0
+    copy = np.array(roots)
+    copy[0] = 2.0
+    assert algebra.roots_of_unity(8)[0] == 1.0
+
+
+def test_the_roots_memo_is_bounded_and_stays_right():
+    # more distinct levels than the memo keeps, twice over: every call is still exact
+    levels = range(2, 2 + 2 * algebra.ROOTS_MEMO + 5)
+    for _ in range(2):
+        for n in levels:
+            assert algebra.roots_of_unity(n).tobytes() == np.exp(2j * np.pi * np.arange(n) / n).tobytes()
+    assert algebra._roots.cache_info().currsize == algebra.ROOTS_MEMO
 
 
 def test_shift_matrix_is_the_first_shift_power():

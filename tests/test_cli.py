@@ -198,6 +198,23 @@ def test_bad_input_exits_with_error_line_not_traceback(argv, expected):
     assert all(len(line) < 200 for line in proc.stderr.splitlines() if "error:" in line)
 
 
+def test_an_oversized_pair_grid_exits_before_it_grows():
+    # 2858 trials of levels 2..8 are 100030 mixed cases: run, about 300 MB of reports.
+    # A launcher reads the peak RSS, since exec carries a parent's peak into its child's
+    launcher = (
+        "import os, subprocess, sys\n"
+        "proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)\n"
+        "_, status, usage = os.wait4(proc.pid, 0)\n"
+        "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n"
+    )
+    argv = [sys.executable, "-m", "superhyp", "verify", "mixed", "--n", "2..8", "--trials", "2858"]
+    env = dict(os.environ, PYTHONPATH=str(Path(superhyp.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", launcher, *argv], capture_output=True, text=True, env=env, check=True)
+    code, peak_kb = map(int, proc.stdout.split())
+    assert code == 3 and proc.stderr.startswith("error: invalid-grid: need at most 100000 cases")
+    assert peak_kb < 100 * 1024  # the import alone takes about 30 MB
+
+
 @pytest.mark.parametrize("n, x", [("2", "400"), ("4", "-180"), ("3", "355")])
 def test_superhyp_grid_past_the_identity_domain_is_one_error_line(n, x):
     # at n <= 4 a class value's n-th power would overflow in the printed polynomial

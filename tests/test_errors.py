@@ -247,6 +247,47 @@ def test_weight_bound_holds_on_its_own_at_zero_argument():
             unit_scale(0.0, w)
 
 
+def test_cell_scales_are_unit_scale_bit_for_bit():
+    # 12000 random cells, with radii at, just inside and just past ARG_MAX and 1/ARG_MAX
+    rng = np.random.default_rng(11)
+    T = 12_000
+    radius = np.exp(rng.uniform(-math.log(ARG_MAX), math.log(ARG_MAX), T))
+    edges = [ARG_MAX, 1.0 / ARG_MAX, math.nextafter(ARG_MAX, 0.0), math.nextafter(1.0 / ARG_MAX, 1.0)]
+    radius[: 4 * len(edges)] = np.repeat(edges, 4)
+    ws = radius * np.exp(1j * rng.uniform(-math.pi, math.pi, T))
+    ws[:4] = [ARG_MAX, -ARG_MAX, 1j / ARG_MAX, -1j / ARG_MAX]
+    xs = rng.uniform(-1.0, 1.0, T) * ARG_MAX / np.maximum(radius, 1.0 / radius)
+    xs[::7] = 0.0
+    xs[:4] = [1.0, -1.0, 1.0, -1.0]  # a scale of ARG_MAX itself at w = +-ARG_MAX
+    keep = [True] * T
+    for t, (x, w) in enumerate(zip(xs.tolist(), ws.tolist())):
+        try:
+            unit_scale(x, w)
+        except DomainError:  # |w| rounded past a bound
+            keep[t] = False
+    xs, ws = xs[keep], ws[keep]
+    assert xs.size > 10_000
+    _, _, scales = require_cells(xs, ws)
+    want = [unit_scale(x, w) for x, w in zip(xs.tolist(), ws.tolist())]
+    assert scales.tobytes() == np.array(want).tobytes()
+    assert scales[:2].tolist() == [ARG_MAX, ARG_MAX]
+
+
+@pytest.mark.parametrize(
+    "w, echo",
+    [(None, "w=None"), ("x", "w='x'"), (0, "w=0"), (0.0, "w=0.0"), (1e-200j, "w=1e-200j"), (math.inf, "w=inf")],
+)
+def test_a_refused_weight_is_echoed_as_the_caller_gave_it(w, echo):
+    with pytest.raises(DomainError, match="overflow-domain") as one:
+        unit_scale(0.5, w)
+    assert str(one.value).endswith(f"x=0.5, {echo}")
+    # a batch names its first bad cell by the entries it was given
+    if w is not None and not isinstance(w, str):
+        with pytest.raises(DomainError) as cells:
+            require_cells([0.5, 0.5], [w, w])
+        assert str(cells.value) == str(one.value)
+
+
 def test_size_caps_raise_before_allocating():
     # each call would need gigabytes or an unbounded loop past its cap
     with pytest.raises(DomainError):

@@ -390,6 +390,18 @@ def test_cell_rows_are_the_one_cell_calls_bit_for_bit(n):
         assert route([], []).shape == (0, *rows.shape[1:])
 
 
+@pytest.mark.parametrize("n", [2, 3, 5, 64, 256])
+def test_the_one_cell_column_is_the_batch_row_bit_for_bit(n):
+    # a number cell takes its column directly, not through a one-row block: 200 cells per level
+    xs, ws = _random_cells(np.random.default_rng(100 + n), 199)
+    columns = genmatrix.generating_column(n, xs, ws)
+    traces = genmatrix.trace_projection(n, xs, ws, 1)
+    for x, w, column, trace in zip(xs.tolist(), ws.tolist(), columns, traces.tolist()):
+        assert genmatrix.generating_column(n, x, w).tobytes() == column.tobytes()
+        assert genmatrix.trace_projection(n, x, w, 1) == trace
+        assert np.array(genmatrix.generating_matrix(n, x, w).matrix)[:, 0].tobytes() == column.tobytes()
+
+
 @pytest.mark.parametrize(
     "route",
     [

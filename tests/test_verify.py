@@ -1,6 +1,7 @@
 import cmath
 import collections
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -8,8 +9,8 @@ import pytest
 from test_circle import _eager_lattice
 from test_hyperbolic import _loop_addition_residual, _loop_mixed_residual
 
-from superhyp import bessel, circle, genmatrix, hyperbolic, verify
-from superhyp.errors import MAX_GRID_POINTS, DomainError
+from superhyp import bessel, circle, errors, genmatrix, hyperbolic, verify
+from superhyp.errors import MAX_CASES, MAX_GRID_POINTS, DomainError
 
 
 @pytest.mark.parametrize(
@@ -63,6 +64,40 @@ def test_pair_suites_pass_on_the_wide_level_grid(suite):
     report = verify.run_suite(suite, n_values=range(2, 33))
     assert len(report.cases) == {"addition": 3100, "mixed": 26350}[suite]
     assert report.passed, max(c.residual / c.tolerance for c in report.cases)
+
+
+# grids just past MAX_CASES: 2858 trials of levels 2..8 (mixed: 2858 * 35 cases),
+# 1001 trials of 100 levels (addition: 1001 * 100 cases)
+OVERSIZED_PAIR_GRIDS = [
+    ("mixed", {"n_values": range(2, 9), "trials": 2858}),
+    ("addition", {"n_values": range(2, 102), "trials": 1001}),
+]
+
+
+@pytest.mark.parametrize("suite, kwargs", OVERSIZED_PAIR_GRIDS)
+def test_an_oversized_pair_grid_is_refused_before_any_kernel(suite, kwargs):
+    # run, these grids take seconds and about 300 MB; refused, neither time nor memory
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(DomainError, match=f"invalid-grid: need at most {MAX_CASES} cases"):
+            verify.run_suite(suite, **kwargs)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 0.1 and peak < 2**20, (elapsed, peak)
+
+
+def test_pair_grids_are_counted_in_cases(monkeypatch):
+    # trials x levels for addition, trials x the sum of the levels for mixed
+    monkeypatch.setattr(errors, "MAX_CASES", 60)
+    assert len(verify.run_suite("addition", n_values=[2, 3, 4], trials=20).cases) == 60
+    assert len(verify.run_suite("mixed", n_values=[2, 4], trials=10).cases) == 60
+    with pytest.raises(DomainError, match="got 63"):
+        verify.run_suite("addition", n_values=[2, 3, 4], trials=21)
+    with pytest.raises(DomainError, match="got 66"):
+        verify.run_suite("mixed", n_values=[2, 4], trials=11)
 
 
 def test_default_grids_are_reported_as_before():
