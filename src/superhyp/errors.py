@@ -3,8 +3,10 @@
 Each domain rule is written once here; the modules call these checks and
 keep only their own bound constants (the |x| caps).  The size caps bound
 the memory and work one call may request, so a huge size is a
-DomainError instead of an out-of-memory failure or a loop without end.
-Messages echo the offending value through reprlib, abbreviated when long.
+DomainError instead of an out-of-memory failure or a loop without end;
+MAX_CASES keeps the report of one `verify addition` or `verify mixed`
+run below about 350 MB (about 300 MB measured at the cap).  Messages
+echo the offending value through reprlib, abbreviated when long.
 
 Batches.  `require_xs`, `require_indices`, `require_cells` and
 `require_weights` take a number or a batch of numbers, by one rule.  A
@@ -36,8 +38,8 @@ MAX_ORDER = 100_000
 MAX_GRID_POINTS = 10_000
 # Most cases one verify suite over random trials may report: trials times
 # the levels for addition, trials times the sum of the levels for mixed.
-# A case costs about 3 KB in the report and its JSON output, so a suite
-# run stays below about 350 MB; the cap is checked before any kernel runs.
+# A case costs about 3 KB of report and JSON output; the count is checked
+# before any kernel runs.
 MAX_CASES = 100_000
 # Most entries per row times rows that a call over a 1-D array of x may
 # request: the largest CLI grid at the largest level.  A row counts the

@@ -248,7 +248,7 @@ def test_weight_bound_holds_on_its_own_at_zero_argument():
 
 
 def test_cell_scales_are_unit_scale_bit_for_bit():
-    # 12000 random cells, with radii at, just inside and just past ARG_MAX and 1/ARG_MAX
+    # 12000 random cells, with radii at and just inside ARG_MAX and 1/ARG_MAX
     rng = np.random.default_rng(11)
     T = 12_000
     radius = np.exp(rng.uniform(-math.log(ARG_MAX), math.log(ARG_MAX), T))
