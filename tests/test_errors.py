@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from superhyp import algebra, bessel, circle, cli, genmatrix, hyperbolic
+from superhyp import algebra, bessel, circle, cli, genmatrix, hyperbolic, verify
 from superhyp.errors import (
     ARG_MAX,
     MAX_BATCH,
@@ -281,6 +281,10 @@ def test_a_refused_weight_is_echoed_as_the_caller_gave_it(w, echo):
     with pytest.raises(DomainError, match="overflow-domain") as one:
         unit_scale(0.5, w)
     assert str(one.value).endswith(f"x=0.5, {echo}")
+    for suite in ("bessel", "genmatrix"):  # a grid's weight is checked at x = 0
+        with pytest.raises(DomainError, match="overflow-domain") as grid:
+            verify.run_suite(suite, w_values=[w])
+        assert str(grid.value).endswith(f"x=0.0, {echo}")
     # a batch names its first bad cell by the entries it was given
     if w is not None and not isinstance(w, str):
         with pytest.raises(DomainError) as cells:
