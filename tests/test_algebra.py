@@ -364,8 +364,16 @@ def test_context_relations_hold(n):
     assert max(residuals.values()) <= 1e-13, residuals
 
 
+def test_shift_power_matches_repeated_product():
+    s = algebra.shift_matrix(5)
+    for j in range(7):
+        np.testing.assert_array_equal(
+            algebra.shift_power(5, j), np.linalg.matrix_power(s, j % 5)
+        )
+
+
 @pytest.mark.parametrize("n", [2, 3, 5, 64, 256])
-def test_shift_power_matches_repeated_product(n):
+def test_shift_power_is_the_rolled_identity(n):
     # the scattered permutation is the rolled identity bit for bit, for any int j
     for j in (-n - 1, -1, 0, 1, n, 2 * n + 3, 10**30):
         power = algebra.shift_power(n, j)
