@@ -11,7 +11,6 @@ regime.  Arguments are capped at |x| = 700 to stay below exp overflow.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -85,8 +84,7 @@ def _miller_values(kmax: int, x: float) -> np.ndarray:
     return np.ldexp(p * mantissa, shift + exponent)
 
 
-@dataclass(frozen=True)
-class BesselTable:
+class BesselTable(NamedTuple):
     """Orders 0..kmax at a fixed argument, from one recurrence pass.
 
     norm_residual is the defect of the normalization identity

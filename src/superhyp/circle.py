@@ -50,8 +50,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from reprlib import repr as _short
+from typing import NamedTuple
 
 import numpy as np
 
@@ -69,8 +69,7 @@ RESOLUTION_EPS_FACTOR = 1024.0
 _EPS = np.finfo(float).eps
 
 
-@dataclass(frozen=True)
-class LatticeOperators:
+class LatticeOperators(NamedTuple):
     """Truncated lattice operators on dimension 2N+1, as O(N) data.
 
     The fields are N, mode and alpha; nothing else is stored.  G is
@@ -114,8 +113,7 @@ def build_lattice(N: int, mode: str = "cyclic", alpha: float = 0.0) -> LatticeOp
     return LatticeOperators(N=N, mode=mode, alpha=value)
 
 
-@dataclass(frozen=True)
-class CommutatorReport:
+class CommutatorReport(NamedTuple):
     """Exact integer accounting of [G, S] - S.
 
     corner_defect is the single wraparound entry (cyclic mode; 0 when
@@ -186,8 +184,7 @@ def _band(vec: np.ndarray, offset: int, row_step: int, col_step: int, n: int) ->
     )
 
 
-@dataclass(frozen=True)
-class _OpenExponential:
+class _OpenExponential(NamedTuple):
     """The O(n) vectors that fix exp((x/2)(w S + S^T/w)) on the open lattice, n = 2N+1.
 
     Label the sites p = m + N + 1 in 1..n, so the walls sit at 0 and
@@ -346,8 +343,7 @@ def generating_operator_element(N: int, x: float, w: complex, m: int, k: int) ->
     return _OpenExponential.build(N, x, complex(w)).element(m, k)
 
 
-@dataclass(frozen=True)
-class ConvergencePoint:
+class ConvergencePoint(NamedTuple):
     """One truncation size of a convergence study.
 
     error is the raw |element - I_order(x) w^order|; resolved is the

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,8 +49,7 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class GeneratingMatrixEval:
+class GeneratingMatrixEval(NamedTuple):
     """exp((x/2)(w*shift + shift^dagger/w)) together with its parameters."""
 
     n: int

@@ -50,8 +50,8 @@ scale their tolerances accordingly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from reprlib import repr as _short
+from typing import NamedTuple
 
 import numpy as np
 
@@ -201,8 +201,7 @@ def _real_column(col: np.ndarray, scale) -> np.ndarray:
     return col.real
 
 
-@dataclass(frozen=True)
-class SuperHypValues:
+class SuperHypValues(NamedTuple):
     """The vector (c_0(x), ..., c_{n-1}(x)) with its defining parameters.
 
     A plain record that nothing checks; it is kept rather than a bare

@@ -14,8 +14,8 @@ import cmath
 import json
 import math
 import time
-from dataclasses import dataclass, field
 from reprlib import repr as _short
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,20 +65,18 @@ DEFAULT_TOLERANCES = {
 }
 
 
-@dataclass
-class CaseResult:
+class CaseResult(NamedTuple):
     inputs: dict
     residual: float
     tolerance: float
-    details: dict = field(default_factory=dict)
+    details: dict = {}  # shared by every case without details: never mutated
 
     @property
     def passed(self) -> bool:
         return self.residual <= self.tolerance
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     suite: str
     params: dict
     cases: list
@@ -159,11 +157,6 @@ def _tols(suite: str, tol):
     return {key: base if tol is None else float(tol) for key, base in DEFAULT_TOLERANCES[suite].items()}
 
 
-def _case(inputs, residual, tolerance, **details) -> CaseResult:
-    details = {k: v for k, v in details.items() if v is not None}
-    return CaseResult(inputs, float(residual), float(tolerance), details)
-
-
 def verify_pauli(n_values=None, tol=None) -> tuple[dict, list]:
     """Defining clock/shift relations over a range of levels."""
     n_values = _grid(n_values, "pauli_n", require_level)
@@ -171,7 +164,7 @@ def verify_pauli(n_values=None, tol=None) -> tuple[dict, list]:
     cases = []
     for n in n_values:
         for relation, residual in algebra.pauli_residuals(n).items():
-            cases.append(_case({"n": n, "relation": relation}, residual, t["relations"]))
+            cases.append(CaseResult({"n": n, "relation": relation}, float(residual), t["relations"]))
     return {"n_values": n_values, "tol": t}, cases
 
 
@@ -180,6 +173,10 @@ def verify_superhyp(n_values=None, x_values=None, tol=None) -> tuple[dict, list]
     n_values = _grid(n_values, "superhyp_n", require_level)
     # the identity check takes |x| <= IDENTITY_X_MAX, so the grid does too
     x_values = _grid(x_values, "superhyp_x", lambda x: require_x(x, hyperbolic.IDENTITY_X_MAX))
+    require_cases(
+        len(x_values) * sum(2 + 2 * (n in hyperbolic.POLY_IDENTITY_MONOMIALS) for n in n_values),
+        "verify superhyp (x points x 2 per level, 4 at a level with a printed polynomial)",
+    )
     t = _tols("superhyp", tol)
     cases = []
     for n in n_values:
@@ -187,12 +184,12 @@ def verify_superhyp(n_values=None, x_values=None, tol=None) -> tuple[dict, list]
         rows = hyperbolic.series_residuals(n, x_values).tolist()
         dets = hyperbolic.fundamental_identity_residual(n, x_values).tolist()
         for x, det_res, (spread, *poly) in zip(x_values, dets, rows):
-            cases.append(_case({"n": n, "x": x, "check": "identity"}, det_res, t["identity"]))
+            cases.append(CaseResult({"n": n, "x": x, "check": "identity"}, det_res, t["identity"]))
             for p in poly:
-                cases.append(_case({"n": n, "x": x, "check": "polynomial"}, p, t["polynomial"]))
-                cases.append(_case({"n": n, "x": x, "check": "agreement"}, abs(p - det_res), t["agreement"]))
+                cases.append(CaseResult({"n": n, "x": x, "check": "polynomial"}, p, t["polynomial"]))
+                cases.append(CaseResult({"n": n, "x": x, "check": "agreement"}, abs(p - det_res), t["agreement"]))
             cases.append(
-                _case(
+                CaseResult(
                     {"n": n, "x": x, "check": "cross_method"},
                     spread,
                     t["cross_method"] * math.exp(abs(x)),
@@ -214,7 +211,7 @@ def verify_addition(n_values=None, trials=None, seed=0, tol=None) -> tuple[dict,
         xs, ys = rng.uniform(-3.0, 3.0, size=(trials, 2)).T
         residuals = hyperbolic.addition_residual(n, xs, ys).max(axis=1)
         for trial, (x, y, residual) in enumerate(zip(xs.tolist(), ys.tolist(), residuals.tolist())):
-            cases.append(_case({"n": n, "trial": trial, "x": x, "y": y}, residual, t["addition"]))
+            cases.append(CaseResult({"n": n, "trial": trial, "x": x, "y": y}, residual, t["addition"]))
     return {"n_values": n_values, "trials": trials, "seed": seed, "tol": t}, cases
 
 
@@ -233,7 +230,7 @@ def verify_mixed(n_values=None, trials=None, seed=0, tol=None) -> tuple[dict, li
             scale = math.exp(abs(x) + abs(y))
             for j, residual in enumerate(row):
                 cases.append(
-                    _case({"n": n, "trial": trial, "j": j, "x": x, "y": y}, residual, t["mixed"] * scale)
+                    CaseResult({"n": n, "trial": trial, "j": j, "x": x, "y": y}, residual, t["mixed"] * scale)
                 )
     return {"n_values": n_values, "trials": trials, "seed": seed, "tol": t}, cases
 
@@ -256,6 +253,11 @@ def verify_bessel(x_values=None, kmax=None, w_values=None, tol=None) -> tuple[di
     if kmax is not None:
         kmax = require_order(kmax)
     w_values = _grid(w_values, "w_values", _w)
+    generating_x = [x for x in x_values if abs(x) <= 5]
+    require_cases(
+        4 * len(x_values) + 20 * sum(x != 0 for x in x_values) + len(w_values) * len(generating_x),
+        "verify bessel (4 per x, 20 more per nonzero x, one per weight at |x| <= 5)",
+    )
     t = _tols("bessel", tol)
     # without a caller's kmax the truncation follows x, up from the default
     orders = [
@@ -267,9 +269,7 @@ def verify_bessel(x_values=None, kmax=None, w_values=None, tol=None) -> tuple[di
         scale = math.exp(abs(x))
         residuals = bessel.classic_identity_residuals(x, K)
         for name, value in residuals._asdict().items():
-            cases.append(
-                _case({"x": x, "K": K, "identity": name}, value, t["classic"] * scale)
-            )
+            cases.append(CaseResult({"x": x, "K": K, "identity": name}, float(value), t["classic"] * scale))
         if x != 0:
             table = bessel.bessel_table(22, x).values
             lost = (np.abs(table) < _TINY).tolist()  # stored as 0 or as a subnormal
@@ -281,20 +281,21 @@ def verify_bessel(x_values=None, kmax=None, w_values=None, tol=None) -> tuple[di
                 factor = 2.0 * k / x
                 rhs = factor * table[k] if math.isfinite(factor) else 2.0 * k * table[k] / x
                 underflow = _SUBNORMAL * (lost[k - 1] + lost[k + 1]) + lost[k] * (2 * k * _SUBNORMAL / abs(x))
+                residual = abs(lhs - rhs) / (abs(table[k - 1]) + underflow / t["recurrence"]) if lhs != rhs else 0.0
                 cases.append(
-                    _case(
+                    CaseResult(
                         {"x": x, "k": k, "identity": "recurrence"},
-                        abs(lhs - rhs) / (abs(table[k - 1]) + underflow / t["recurrence"]) if lhs != rhs else 0.0,
+                        float(residual),
                         t["recurrence"],
-                        underflow=underflow or None,
+                        {"underflow": underflow} if underflow else {},
                     )
                 )
-    for x in [x for x in x_values if abs(x) <= 5]:
+    for x in generating_x:
         K_gen = int(2 * (abs(x) + 20))
         residuals = bessel.generating_function_residual(x, w_values, K_gen).tolist()
         for w, residual in zip(w_values, residuals):
             cases.append(
-                _case(
+                CaseResult(
                     {"x": x, "K": K_gen, "identity": "generating_function", "w": complex_payload(w)},
                     residual,
                     t["generating_function"] * math.exp(2 * abs(x)),
@@ -309,6 +310,10 @@ def verify_genmatrix(n_values=None, x_values=None, w_values=None, tol=None) -> t
     n_values = _grid(n_values, "genmatrix_n", require_level)
     x_values = _grid(x_values, "genmatrix_x", _x)
     w_values = _grid(w_values, "w_values", _w)
+    require_cases(
+        len(x_values) * len(w_values) * sum(2 * n + 1 for n in n_values),
+        "verify genmatrix ((x, w) cells x sum of 2n + 1 over the levels)",
+    )
     t = _tols("genmatrix", tol)
     cells = [(x, w) for x in x_values for w in w_values]
     xs = np.array([x for x, _ in cells])
@@ -329,13 +334,13 @@ def verify_genmatrix(n_values=None, x_values=None, w_values=None, tol=None) -> t
             for j, (tr, es, comb) in enumerate(zip(trace_row, sum_row, comb_row)):
                 totals += tr
                 base = {"n": n, "x": x, "j": j, "w": w_pay}
-                cases.append(_case({**base, "check": "trace_vs_sum"}, abs(tr - es), t["trace_vs_sum"] * scale))
+                cases.append(CaseResult({**base, "check": "trace_vs_sum"}, abs(tr - es), t["trace_vs_sum"] * scale))
                 cases.append(
-                    _case({**base, "check": "trace_vs_bessel"}, abs(tr - comb), t["trace_vs_bessel"] * scale)
+                    CaseResult({**base, "check": "trace_vs_bessel"}, abs(tr - comb), t["trace_vs_bessel"] * scale)
                 )
             generating = cmath.exp((x / 2.0) * (w + 1.0 / w))
             cases.append(
-                _case(
+                CaseResult(
                     {"n": n, "x": x, "w": w_pay, "check": "completeness"},
                     abs(totals - generating),
                     t["completeness"] * scale,
@@ -359,6 +364,7 @@ def verify_circle(N_values=None, mode=None, alphas=None, tol=None) -> tuple[dict
     N_values = _grid(N_values, "circle_N", require_half_width)
     modes = list(circle.MODES) if mode is None else [mode]
     alphas = _grid(alphas, "circle_alphas", lambda a: circle.build_lattice(1, alpha=a).alpha)
+    require_cases(len(N_values) * (3 * len(modes) + len(alphas)), "verify circle (half-widths x (3 per mode + alphas))")
     t = _tols("circle", tol)
     cases = []
     for N in N_values:
@@ -371,13 +377,15 @@ def verify_circle(N_values=None, mode=None, alphas=None, tol=None) -> tuple[dict
                 report.max_other_defect + abs(report.corner_defect - expected_corner)
             )
             cases.append(
-                _case(
+                CaseResult(
                     {"N": N, "mode": m, "check": "commutator"},
                     residual,
                     t["commutator"],
-                    corner_defect=report.corner_defect,
-                    defect_mod_dim=report.defect_mod_dim,
-                    exact=report.exact,
+                    {
+                        "corner_defect": report.corner_defect,
+                        "defect_mod_dim": report.defect_mod_dim,
+                        "exact": report.exact,
+                    },
                 )
             )
             reports = {
@@ -386,20 +394,20 @@ def verify_circle(N_values=None, mode=None, alphas=None, tol=None) -> tuple[dict
             }
             gauge_ok = all(r == report for r in reports.values())
             cases.append(
-                _case(
+                CaseResult(
                     {"N": N, "mode": m, "check": "gauge"},
                     0.0 if gauge_ok else 1.0,
                     t["gauge"],
-                    alphas=alphas,
+                    {"alphas": alphas},
                 )
             )
             # the columns of S have disjoint supports, so S^T S is diagonal:
             # 1 from each subdiagonal entry and corner^2 in the last column,
             # against the identity (cyclic) or the identity less its last 1 (open)
             cases.append(
-                _case(
+                CaseResult(
                     {"N": N, "mode": m, "check": "shift_isometry"},
-                    abs(ops.corner**2 - int(m == "cyclic")),
+                    float(abs(ops.corner**2 - int(m == "cyclic"))),
                     t["shift_isometry"],
                 )
             )
@@ -415,12 +423,11 @@ def verify_circle(N_values=None, mode=None, alphas=None, tol=None) -> tuple[dict
             weyl = float(np.abs(band).max())
             covariance = float(np.abs(clock - np.exp(2j * np.pi * a / dim) * untwisted).max())
             cases.append(
-                _case(
+                CaseResult(
                     {"N": N, "alpha": a, "check": "weyl"},
                     max(weyl, covariance),
                     t["weyl"],
-                    weyl_defect=weyl,
-                    covariance_defect=covariance,
+                    {"weyl_defect": weyl, "covariance_defect": covariance},
                 )
             )
     return {"N_values": N_values, "modes": modes, "alphas": alphas, "tol": t}, cases

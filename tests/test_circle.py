@@ -103,9 +103,9 @@ def test_commutator_corner_comes_from_the_wraparound_entry(monkeypatch):
 
 def test_build_lattice_builds_no_matrix():
     ops = circle.build_lattice(3, mode="cyclic", alpha=0.25)
-    assert not any(isinstance(v, np.ndarray) for v in vars(ops).values())
+    assert not any(isinstance(v, np.ndarray) for v in ops._asdict().values())
     circle.generating_operator(ops, 1.0, 0.8)
-    assert not any(isinstance(v, np.ndarray) for v in vars(ops).values())
+    assert not any(isinstance(v, np.ndarray) for v in ops._asdict().values())
 
 
 @pytest.mark.parametrize("mode", circle.MODES)
@@ -417,3 +417,20 @@ def test_convergence_script_runs_the_readme_example():
         "1": ["True", "True", "False", "False"],
         "3": ["True", "True", "True", "False"],
     }
+
+
+@pytest.mark.parametrize(
+    "flags, code, message",
+    [
+        (["--N", "10,5"], 3, "error: invalid-argument: N_list must be nonempty and increasing, got [10, 5]\n"),
+        (["--N", "abc"], 2, "error: argument --N: invalid parse_int_grid value: 'abc'\n"),
+        (["--x", "1e9"], 3, "error: overflow-domain: need |x| <= 30.0, got 1000000000.0\n"),
+    ],
+)
+def test_convergence_script_refuses_bad_input_in_one_line(flags, code, message):
+    # a DomainError exits 3 as the CLI does, a malformed flag value 2 through argparse
+    script = Path(__file__).resolve().parents[1] / "scripts" / "circle_convergence.py"
+    env = dict(os.environ, PYTHONPATH=str(Path(circle.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, str(script), *flags], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == code and proc.stdout == ""
+    assert proc.stderr.endswith(message) and "Traceback" not in proc.stderr

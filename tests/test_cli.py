@@ -215,6 +215,29 @@ def test_an_oversized_pair_grid_exits_before_it_grows():
     assert peak_kb < 100 * 1024  # the import alone takes about 30 MB
 
 
+def test_the_cli_import_builds_no_dataclass():
+    # every record is a NamedTuple, so no CLI process pays for the dataclasses import or its code generation
+    env = dict(os.environ, PYTHONPATH=str(Path(superhyp.__file__).parents[1]))
+    code = "import sys, superhyp.cli; print('dataclasses' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout == "False\n"
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("superhyp", "--n", "2..11", "--x", "-3..3:0.0015"),
+        ("bessel", "--x", "0.001..5:0.001"),
+        ("genmatrix", "--n", "2..20", "--x", "0.1..2:0.01"),
+    ],
+)
+def test_an_oversized_grid_is_one_error_line(capsys, argv):
+    # no circle grid reaches the cap here: 10000 half-widths x (3 x 2 modes + 3 gauges) are 90000 cases
+    code = cli.main(["verify", *argv])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.startswith(f"error: invalid-grid: need at most 100000 cases in verify {argv[0]} ")
+
+
 @pytest.mark.parametrize("n, x", [("2", "400"), ("4", "-180"), ("3", "355")])
 def test_superhyp_grid_past_the_identity_domain_is_one_error_line(n, x):
     # at n <= 4 a class value's n-th power would overflow in the printed polynomial

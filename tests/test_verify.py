@@ -67,16 +67,23 @@ def test_pair_suites_pass_on_the_wide_level_grid(suite):
 
 
 # grids just past MAX_CASES: 2858 trials of levels 2..8 (mixed: 2858 * 35 cases),
-# 1001 trials of 100 levels (addition: 1001 * 100 cases)
-OVERSIZED_PAIR_GRIDS = [
+# 1001 trials of 100 levels (addition: 1001 * 100 cases), 3847 points x of levels
+# 2..11 (superhyp: 3847 * 26), 3704 points 0 < x <= 5 (bessel: 3704 * 27), 77 cells
+# of levels 2..20 (genmatrix: 77 * 3 * 437), 100 half-widths with 995 gauges
+# (circle: 100 * (6 + 995))
+OVERSIZED_GRIDS = [
     ("mixed", {"n_values": range(2, 9), "trials": 2858}),
     ("addition", {"n_values": range(2, 102), "trials": 1001}),
+    ("superhyp", {"n_values": range(2, 12), "x_values": np.linspace(-3.0, 3.0, 3847)}),
+    ("bessel", {"x_values": np.linspace(0.01, 5.0, 3704)}),
+    ("genmatrix", {"n_values": range(2, 21), "x_values": np.linspace(0.1, 2.0, 77)}),
+    ("circle", {"N_values": range(1, 101), "alphas": np.linspace(0.0, 0.99, 995)}),
 ]
 
 
-@pytest.mark.parametrize("suite, kwargs", OVERSIZED_PAIR_GRIDS)
+@pytest.mark.parametrize("suite, kwargs", OVERSIZED_GRIDS)
 def test_an_oversized_pair_grid_is_refused_before_any_kernel(suite, kwargs):
-    # run, these grids take seconds and about 300 MB; refused, neither time nor memory
+    # run, these grids take seconds and hundreds of MB; refused, neither time nor memory
     tracemalloc.start()
     start = time.perf_counter()
     try:
@@ -98,6 +105,26 @@ def test_pair_grids_are_counted_in_cases(monkeypatch):
         verify.run_suite("addition", n_values=[2, 3, 4], trials=21)
     with pytest.raises(DomainError, match="got 66"):
         verify.run_suite("mixed", n_values=[2, 4], trials=11)
+
+
+@pytest.mark.parametrize(
+    "suite, kwargs",
+    [
+        ("superhyp", {"n_values": [2, 5, 4], "x_values": [-1.0, 0.0, 2.5]}),
+        ("bessel", {"x_values": [0.0, -5.0, 5.5, 1e-300], "w_values": [1.0, 0.8]}),
+        ("genmatrix", {"n_values": [2, 7], "x_values": [0.0, 1.5], "w_values": [1.0, 0.8, 1j]}),
+        ("circle", {"N_values": [1, 4], "alphas": [0.0, 0.5]}),
+        ("circle", {"N_values": [3], "mode": "open", "alphas": [0.25]}),
+    ],
+)
+def test_suite_grids_are_counted_in_cases(monkeypatch, suite, kwargs):
+    # each suite counts its cases from its grids before any kernel runs, exactly
+    count = len(verify.run_suite(suite, **kwargs).cases)
+    monkeypatch.setattr(errors, "MAX_CASES", count)
+    assert len(verify.run_suite(suite, **kwargs).cases) == count
+    monkeypatch.setattr(errors, "MAX_CASES", count - 1)
+    with pytest.raises(DomainError, match=f"cases in verify {suite} .*, got {count}$"):
+        verify.run_suite(suite, **kwargs)
 
 
 def test_default_grids_are_reported_as_before():
@@ -157,12 +184,12 @@ def _per_trial_cases(suite, seed, trials):
             if suite == "addition":
                 residual = hyperbolic.addition_residual(n, x, y)
                 assert np.abs(residual - _loop_addition_residual(n, x, y)).max() <= _rounding(n, x, y)
-                cases.append(verify._case(inputs, residual.max(), tol))
+                cases.append(verify.CaseResult(inputs, residual.max(), tol))
             else:
                 residual = hyperbolic.mixed_product_residual(n, x, y)
                 assert np.abs(residual - _loop_mixed_residual(n, x, y)).max() <= _rounding(n, x, y)
                 for j, r in enumerate(residual):
-                    cases.append(verify._case({**inputs, "j": j}, r, tol * math.exp(abs(x) + abs(y))))
+                    cases.append(verify.CaseResult({**inputs, "j": j}, r, tol * math.exp(abs(x) + abs(y))))
     return _payload_cases(verify.VerificationReport(suite, {}, cases, 0.0))
 
 
@@ -181,7 +208,7 @@ def test_batched_superhyp_equals_the_per_point_loop():
     for n in verify.DEFAULT_GRIDS["superhyp_n"]:
         for x in verify.DEFAULT_GRIDS["superhyp_x"]:
             det = hyperbolic.fundamental_identity_residual(n, x)
-            cases.append(verify._case({"n": n, "x": x, "check": "identity"}, det, tol["identity"]))
+            cases.append(verify.CaseResult({"n": n, "x": x, "check": "identity"}, det, tol["identity"]))
             c = hyperbolic.series_column(n, x)
             if n in hyperbolic.POLY_IDENTITY_MONOMIALS:
                 # the monomials as scalar ** on each value, not numpy's vectorised power
@@ -192,13 +219,13 @@ def test_batched_superhyp_equals_the_per_point_loop():
                         term *= base**p
                     total += term
                 poly = abs(total - 1.0)
-                cases.append(verify._case({"n": n, "x": x, "check": "polynomial"}, poly, tol["polynomial"]))
+                cases.append(verify.CaseResult({"n": n, "x": x, "check": "polynomial"}, poly, tol["polynomial"]))
                 cases.append(
-                    verify._case({"n": n, "x": x, "check": "agreement"}, abs(poly - det), tol["agreement"])
+                    verify.CaseResult({"n": n, "x": x, "check": "agreement"}, abs(poly - det), tol["agreement"])
                 )
             spread = np.abs(c - hyperbolic.filter_column(n, x).real).max()
             cases.append(
-                verify._case(
+                verify.CaseResult(
                     {"n": n, "x": x, "check": "cross_method"}, spread, tol["cross_method"] * math.exp(abs(x))
                 )
             )
@@ -228,10 +255,10 @@ def test_batched_genmatrix_equals_the_per_class_loop():
                     totals += tr
                     base = {"n": n, "x": x, "j": j, "w": w_pay}
                     for check, residual in (("trace_vs_sum", abs(tr - es)), ("trace_vs_bessel", abs(tr - comb))):
-                        case = verify._case({**base, "check": check}, residual, tol[check] * scale)
+                        case = verify.CaseResult({**base, "check": check}, residual, tol[check] * scale)
                         cases[repr(case.inputs)] = case
                 generating = cmath.exp((x / 2.0) * (w + 1.0 / w))
-                case = verify._case(
+                case = verify.CaseResult(
                     {"n": n, "x": x, "w": w_pay, "check": "completeness"},
                     abs(totals - generating),
                     tol["completeness"] * scale,
@@ -393,3 +420,34 @@ def test_circle_at_the_size_cap_is_o_of_n():
         tracemalloc.stop()
     assert report.passed
     assert peak < 2**20, peak
+
+
+@pytest.mark.parametrize(
+    "make, field",
+    [
+        (lambda: bessel.bessel_table(3, 1.0), "values"),
+        (lambda: hyperbolic.c_all(3, 1.0), "values"),
+        (lambda: genmatrix.generating_matrix(3, 1.0, 0.8), "matrix"),
+        (lambda: circle.build_lattice(2), "N"),
+        (lambda: circle.commutator_check(circle.build_lattice(2)), "exact"),
+        (lambda: circle._OpenExponential.build(2, 1.0, 0.8), "toeplitz"),
+        (lambda: circle.convergence_study([8], 1.0, 0.8, 0)[0], "error"),
+        (lambda: verify.run_suite("circle", N_values=[1]).cases[0], "residual"),
+        (lambda: verify.run_suite("circle", N_values=[1]), "cases"),
+    ],
+    ids=[
+        "BesselTable", "SuperHypValues", "GeneratingMatrixEval", "LatticeOperators", "CommutatorReport",
+        "_OpenExponential", "ConvergencePoint", "CaseResult", "VerificationReport",
+    ],
+)
+def test_records_are_read_only(make, field):
+    record = make()
+    with pytest.raises(AttributeError):
+        setattr(record, field, None)
+
+
+@pytest.mark.parametrize("suite", verify.SUITE_NAMES)
+def test_every_case_holds_a_float_residual_and_a_bool_verdict(suite):
+    # numpy scalars from a kernel are converted where the case is built, as the deleted wrapper did
+    for case in verify.run_suite(suite).cases:
+        assert type(case.residual) is float and type(case.tolerance) is float and type(case.passed) is bool
