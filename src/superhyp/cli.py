@@ -104,6 +104,9 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _json_doc(payload) -> str:
+    """JSON with sorted keys and an indent of 2; a VerificationReport writes its own, from its columns."""
+    if isinstance(payload, verify.VerificationReport):
+        return payload.to_json()
     return json.dumps(payload, sort_keys=True, indent=2)
 
 
@@ -200,7 +203,7 @@ def cmd_verify(args) -> int:
             raise ValueError(f"suite {args.suite} takes no --{flag}")
         kwargs[keyword] = [value] if flag in ("w", "alpha") else value
     report = verify.run_suite(args.suite, **kwargs)
-    _emit(_json_doc(report.to_payload()), args.out)
+    _emit(_json_doc(report), args.out)
     return EXIT_PASS if report.passed else EXIT_VERIFY_FAIL
 
 

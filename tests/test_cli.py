@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -12,6 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from reference_report import document
 
 import superhyp
 from superhyp import cli, genmatrix, hyperbolic, verify
@@ -238,6 +240,26 @@ def test_an_oversized_grid_is_one_error_line(capsys, argv):
     assert captured.err.startswith(f"error: invalid-grid: need at most 100000 cases in verify {argv[0]} ")
 
 
+def test_the_cli_import_loads_no_module_beyond_its_budget():
+    # the cli-process setup time is this import, after numpy: it may load
+    # superhyp's own modules and these, and nothing more
+    budget = {
+        "__future__", "_csv", "_json", "argparse", "cmath", "csv", "gettext",
+        "json", "json.decoder", "json.encoder", "json.scanner",
+    }
+    env = dict(os.environ, PYTHONPATH=str(Path(superhyp.__file__).parents[1]))
+    code = (
+        "import sys, numpy\n"
+        "before = set(sys.modules)\n"
+        "import superhyp.cli\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    loaded = set(proc.stdout.split())
+    assert {m for m in loaded if m.split(".")[0] != "superhyp"} <= budget
+    assert {"superhyp", "superhyp.cli", "superhyp.verify"} <= loaded
+
+
 @pytest.mark.parametrize("n, x", [("2", "400"), ("4", "-180"), ("3", "355")])
 def test_superhyp_grid_past_the_identity_domain_is_one_error_line(n, x):
     # at n <= 4 a class value's n-th power would overflow in the printed polynomial
@@ -353,13 +375,48 @@ def test_eval_output_is_deterministic(capsys):
     assert first == second
 
 
+# the one timing field of a report; everything else is byte-deterministic
+_WALL_TIME = re.compile(r'"wall_time_ms": [^\n]*')
+
+
 def test_verify_report_deterministic_up_to_wall_time(capsys):
-    argv = ("verify", "addition", "--n", "2..4", "--trials", "20", "--seed", "7")
-    _, first = run_cli(capsys, *argv)
-    _, second = run_cli(capsys, *argv)
-    a, b = json.loads(first), json.loads(second)
-    a.pop("wall_time_ms"), b.pop("wall_time_ms")
-    assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+    for suite in verify.SUITE_NAMES:
+        argv = ("verify", suite, "--seed", "7") if suite in ("addition", "mixed") else ("verify", suite)
+        _, first = run_cli(capsys, *argv)
+        _, second = run_cli(capsys, *argv)
+        assert _WALL_TIME.sub("", first) == _WALL_TIME.sub("", second), suite
+        assert len(_WALL_TIME.findall(first)) == 1
+
+
+REFERENCE_GRIDS = [[s] for s in verify.SUITE_NAMES] + [
+    ["mixed", "--n", "2..32"],
+    ["genmatrix", "--n", "2..16", "--x", "0.5..20:0.5", "--w", "0.8"],
+    ["bessel", "--x", "1e-310,5e-324,1e-300,-1e-16"],
+    ["circle", "--tol", "0.5"],
+    ["superhyp", "--n", "3", "--tol", "1e-30"],
+]
+
+
+@pytest.mark.parametrize("argv", REFERENCE_GRIDS, ids=" ".join)
+def test_verify_stdout_is_the_reference_emitter_byte_for_byte(monkeypatch, capsys, argv):
+    # the column writer against the per-case emitter it replaced, on the same report;
+    # only the added "checks" block is skipped
+    reports = []
+    run_suite = verify.run_suite
+
+    def kept(suite, **kwargs):
+        reports.append(run_suite(suite, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(verify, "run_suite", kept)
+    code, out = run_cli(capsys, "verify", *argv)
+    (report,) = reports
+    assert code == (cli.EXIT_PASS if report.passed else cli.EXIT_VERIFY_FAIL)
+    checks = re.compile(r'\n  "checks": \{\n.*?\n  \},', re.S)
+    assert len(checks.findall(out)) == 1
+    assert checks.sub("", out) == document(report) + "\n"
+    if argv[0] == "bessel" and len(argv) > 1:
+        assert '"underflow"' in out
 
 
 def test_table_superhyp_csv_shape_and_round_trip(capsys):

@@ -1,15 +1,17 @@
 import cmath
 import collections
+import json
 import math
 import time
 import tracemalloc
 
 import numpy as np
 import pytest
+from reference_report import Case, payload
 from test_circle import _eager_lattice
 from test_hyperbolic import _loop_addition_residual, _loop_mixed_residual
 
-from superhyp import bessel, circle, errors, genmatrix, hyperbolic, verify
+from superhyp import bessel, circle, cli, errors, genmatrix, hyperbolic, verify
 from superhyp.errors import MAX_CASES, MAX_GRID_POINTS, DomainError
 
 
@@ -51,11 +53,40 @@ def test_grids_go_through_the_shared_validators(suite, kwargs):
         verify.run_suite(suite, **kwargs)
 
 
+ZERO_TOLERANCE_GRIDS = {
+    "pauli": {"n_values": [2, 3]},
+    "superhyp": {"n_values": [2, 5], "x_values": [0.0, 1.0]},
+    "addition": {"n_values": [2], "trials": 3},
+    "mixed": {"n_values": [2], "trials": 3},
+    "bessel": {"x_values": [0.0, 1.0, 1e-300, 5e-324]},
+    "genmatrix": {"n_values": [2], "x_values": [0.0, 1.0]},
+    "circle": {"N_values": [2]},
+}
+
+
 def test_a_zero_tolerance_is_valid():
-    # the circle base tolerances are 0.0 already
-    report = verify.run_suite("circle", N_values=[2], tol=0)
-    assert report.params["tol"]["commutator"] == 0.0
-    assert report.params["tol"]["weyl"] == 0.0
+    for suite in verify.SUITE_NAMES:
+        report = verify.run_suite(suite, tol=0, **ZERO_TOLERANCE_GRIDS[suite])
+        assert set(report.params["tol"].values()) == {0.0}
+        cases = report.cases
+        assert all(c.tolerance == 0.0 for c in cases)
+        # an exact agreement passes, a nonzero residual fails, but for the
+        # recurrence's underflow allowance, which does not scale with tol
+        exact = [c for c in cases if c.residual == 0]
+        assert exact and all(c.passed for c in exact), suite
+        for c in cases:
+            if c.residual != 0 and "underflow" not in c.details:
+                assert not c.passed, (suite, c.inputs)
+        assert report.passed == all(c.passed for c in cases)
+
+
+def test_the_recurrence_underflow_allowance_holds_at_zero_tolerance():
+    # at tiny x the two sides differ by no more than the underflow term U: the
+    # cases pass at tol = 0 as at the default tol, judged as |lhs - rhs| <= tol |I_{k-1}| + U
+    report = verify.run_suite("bessel", x_values=[5e-324, 1e-310], tol=0)
+    recurrence = [c for c in report.cases if c.inputs["identity"] == "recurrence"]
+    assert any(c.details and c.residual > 0 for c in recurrence)
+    assert all(c.passed for c in recurrence)
 
 
 @pytest.mark.parametrize("suite", ["addition", "mixed"])
@@ -168,6 +199,10 @@ def _payload_cases(report):
     return report.to_payload()["cases"]
 
 
+def _reference_cases(cases):
+    return payload("", {}, cases, 0.0)["cases"]
+
+
 def _rounding(n, x, y):
     return 16 * n * np.finfo(float).eps * math.exp(abs(x) + abs(y))
 
@@ -184,13 +219,13 @@ def _per_trial_cases(suite, seed, trials):
             if suite == "addition":
                 residual = hyperbolic.addition_residual(n, x, y)
                 assert np.abs(residual - _loop_addition_residual(n, x, y)).max() <= _rounding(n, x, y)
-                cases.append(verify.CaseResult(inputs, residual.max(), tol))
+                cases.append(Case(inputs, residual.max(), tol))
             else:
                 residual = hyperbolic.mixed_product_residual(n, x, y)
                 assert np.abs(residual - _loop_mixed_residual(n, x, y)).max() <= _rounding(n, x, y)
                 for j, r in enumerate(residual):
-                    cases.append(verify.CaseResult({**inputs, "j": j}, r, tol * math.exp(abs(x) + abs(y))))
-    return _payload_cases(verify.VerificationReport(suite, {}, cases, 0.0))
+                    cases.append(Case({**inputs, "j": j}, r, tol * math.exp(abs(x) + abs(y))))
+    return _reference_cases(cases)
 
 
 @pytest.mark.parametrize("suite", ["addition", "mixed"])
@@ -208,7 +243,7 @@ def test_batched_superhyp_equals_the_per_point_loop():
     for n in verify.DEFAULT_GRIDS["superhyp_n"]:
         for x in verify.DEFAULT_GRIDS["superhyp_x"]:
             det = hyperbolic.fundamental_identity_residual(n, x)
-            cases.append(verify.CaseResult({"n": n, "x": x, "check": "identity"}, det, tol["identity"]))
+            cases.append(Case({"n": n, "x": x, "check": "identity"}, det, tol["identity"]))
             c = hyperbolic.series_column(n, x)
             if n in hyperbolic.POLY_IDENTITY_MONOMIALS:
                 # the monomials as scalar ** on each value, not numpy's vectorised power
@@ -219,17 +254,13 @@ def test_batched_superhyp_equals_the_per_point_loop():
                         term *= base**p
                     total += term
                 poly = abs(total - 1.0)
-                cases.append(verify.CaseResult({"n": n, "x": x, "check": "polynomial"}, poly, tol["polynomial"]))
-                cases.append(
-                    verify.CaseResult({"n": n, "x": x, "check": "agreement"}, abs(poly - det), tol["agreement"])
-                )
+                cases.append(Case({"n": n, "x": x, "check": "polynomial"}, poly, tol["polynomial"]))
+                cases.append(Case({"n": n, "x": x, "check": "agreement"}, abs(poly - det), tol["agreement"]))
             spread = np.abs(c - hyperbolic.filter_column(n, x).real).max()
             cases.append(
-                verify.CaseResult(
-                    {"n": n, "x": x, "check": "cross_method"}, spread, tol["cross_method"] * math.exp(abs(x))
-                )
+                Case({"n": n, "x": x, "check": "cross_method"}, spread, tol["cross_method"] * math.exp(abs(x)))
             )
-    assert _payload_cases(report) == _payload_cases(verify.VerificationReport("superhyp", {}, cases, 0.0))
+    assert _payload_cases(report) == _reference_cases(cases)
 
 
 def test_batched_genmatrix_equals_the_per_class_loop():
@@ -255,10 +286,10 @@ def test_batched_genmatrix_equals_the_per_class_loop():
                     totals += tr
                     base = {"n": n, "x": x, "j": j, "w": w_pay}
                     for check, residual in (("trace_vs_sum", abs(tr - es)), ("trace_vs_bessel", abs(tr - comb))):
-                        case = verify.CaseResult({**base, "check": check}, residual, tol[check] * scale)
+                        case = Case({**base, "check": check}, residual, tol[check] * scale)
                         cases[repr(case.inputs)] = case
                 generating = cmath.exp((x / 2.0) * (w + 1.0 / w))
-                case = verify.CaseResult(
+                case = Case(
                     {"n": n, "x": x, "w": w_pay, "check": "completeness"},
                     abs(totals - generating),
                     tol["completeness"] * scale,
@@ -451,3 +482,51 @@ def test_every_case_holds_a_float_residual_and_a_bool_verdict(suite):
     # numpy scalars from a kernel are converted where the case is built, as the deleted wrapper did
     for case in verify.run_suite(suite).cases:
         assert type(case.residual) is float and type(case.tolerance) is float and type(case.passed) is bool
+
+
+@pytest.mark.parametrize("position", ["first", "middle", "last"])
+def test_a_nan_residual_shows_in_max_residual(monkeypatch, capsys, position):
+    # levels 2..4, 3 trials each: one addition residual is NaN, at the first,
+    # a middle or the last case of the check's columns
+    where = {"first": (2, 0), "middle": (3, 1), "last": (4, 2)}[position]
+    residual = hyperbolic.addition_residual
+
+    def with_nan(n, x, y):
+        rows = residual(n, x, y)
+        if n == where[0]:
+            rows[where[1]] = math.nan
+        return rows
+
+    monkeypatch.setattr(hyperbolic, "addition_residual", with_nan)
+    report = verify.run_suite("addition", n_values=[2, 3, 4], trials=3)
+    assert math.isnan(report.max_residual)
+    assert not report.passed
+    assert [c.inputs["trial"] for c in report.cases if math.isnan(c.residual)] == [where[1]]
+    assert cli.main(["verify", "addition", "--n", "2..4", "--trials", "3"]) == cli.EXIT_VERIFY_FAIL
+    doc = json.loads(capsys.readouterr().out)
+    assert math.isnan(doc["max_residual"]) and doc["pass"] is False
+    assert doc["checks"]["addition"]["failed"] == 1 and math.isnan(doc["checks"]["addition"]["worst_margin"])
+
+
+def test_the_checks_block_summarises_each_check():
+    report = verify.run_suite("superhyp", n_values=[2, 3], x_values=[0.5, 3.0], tol=1e-15)
+    checks = report.to_payload()["checks"]
+    assert sorted(checks) == sorted(verify.DEFAULT_TOLERANCES["superhyp"])
+    for name, summary in checks.items():
+        cases = [c for c in report.cases if c.inputs["check"] == name]
+        margins = [c.residual / c.tolerance if c.residual else 0.0 for c in cases]
+        worst = max(range(len(cases)), key=margins.__getitem__)
+        assert summary == {
+            "cases": len(cases),
+            "failed": sum(not c.passed for c in cases),
+            "worst_inputs": cases[worst].inputs,
+            "worst_margin": margins[worst],
+        }
+
+
+def test_a_zero_tolerance_margin_is_infinite():
+    checks = verify.run_suite("pauli", n_values=[3], tol=0).to_payload()["checks"]
+    assert checks["relations"]["worst_margin"] == math.inf and checks["relations"]["failed"] > 0
+    # no residual at all gives a margin of 0
+    checks = verify.run_suite("circle", N_values=[1], alphas=[0.0], tol=0.5).to_payload()["checks"]
+    assert checks["shift_isometry"]["worst_margin"] == 0.0
