@@ -12,8 +12,8 @@ arrays the kernels return: one column per input (or one value all its
 cases share), and the residual, tolerance and pass verdict of each case,
 with details kept only for the cases that have any.  A report's passed,
 max_residual and per-check summary are reductions over these columns.
-report.cases reads the columns back as CaseResult records, built anew on
-each read.  VerificationReport.to_json writes the document from the
+report.cases reads the columns back as CaseResult records, built on the
+first read of each check and kept.  VerificationReport.to_json writes the document from the
 columns, without a per-case object: the cases in the lexicographic order
 of their inputs' compact JSON, then a "checks" block with each check's
 case count, failed count, worst margin (residual / tolerance) and the
