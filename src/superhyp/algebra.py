@@ -24,9 +24,14 @@ from .errors import DomainError, require_level
 TAYLOR_ORDER = 16
 # 1/k! for k = 0..TAYLOR_ORDER, the Taylor coefficients of exp
 _INV_FACTORIAL = tuple(1.0 / math.factorial(k) for k in range(TAYLOR_ORDER + 1))
-# Paterson-Stockmeyer blocks P_i(B) = sum_{j<4} B^j / (4i + j)!, i = 0..3:
-# row i holds the coefficients of B, B^2, B^3; the identity terms go on the diagonals
-_BLOCK_COEFFS = np.array([[_INV_FACTORIAL[4 * i + j] for j in (1, 2, 3)] for i in range(4)])
+# Horner steps of P_0 + B^4 (P_1 + B^4 (P_2 + B^4 (P_3 + B^4 / 16!))), with the
+# Paterson-Stockmeyer blocks P_i(B) = sum_{j<4} B^j / (4i + j)!: row i < 3 holds
+# the coefficients of B, B^2, B^3 and of the product B^4 R, row 3 those of B^4,
+# B, B^2, B^3; the identity terms 1/(4i)! go on the diagonals
+_HORNER_ROWS = np.array(
+    [[*(_INV_FACTORIAL[4 * i + j] for j in (1, 2, 3)), 1.0] for i in range(3)]
+    + [[_INV_FACTORIAL[TAYLOR_ORDER], *_INV_FACTORIAL[13:16]]]
+)
 _BLOCK_IDENTITY = _INV_FACTORIAL[0:16:4]
 _SQRT_TINY = math.sqrt(np.finfo(float).tiny)  # 2^-511, exactly
 # entries a batched kernel's working arrays hold per block of rows (block_rows)
@@ -201,16 +206,26 @@ def mat_exp(a) -> np.ndarray:
     with P_i(B) = sum_{j<4} B^j / (4i + j)!, it is
     P_0 + B^4 (P_1 + B^4 (P_2 + B^4 (P_3 + B^4 / 16!))), which takes
     B^2, B^3, B^4 and three products by B^4, i.e. 6 + s matrix products
-    in all (Horner would take 16 + s).  The four blocks come from one
-    (4 x 3) . (3 x n^2) product of their coefficients with B, B^2, B^3
-    stacked in one array, plus the identity terms 1/(4i)! added on the
-    diagonals.  Every product writes into a preallocated plane
-    (np.matmul(..., out=)) and every sum is in place, so the peak working
-    memory is 7 n x n planes of the working dtype (the stacked powers and
-    the blocks): 7 n^2 * 8 bytes for a real argument, 14 n^2 * 8 for a
-    complex one, and 7 n^2 * 8 for a complex argument run in real
-    arithmetic (see below), whose complex128 result is made after the
-    working planes are freed.
+    in all (Horner would take 16 + s).  Each Horner step
+    R <- P_i + B^4 R is one product of a row of coefficients with the
+    adjacent planes B, B^2, B^3 and B^4 R (B^4, B, B^2, B^3 for the
+    innermost P_3 + B^4 / 16!), plus the identity term 1/(4i)! on the
+    diagonal.
+
+    The working memory is one block of 6 n x n planes of the working
+    dtype, allocated once per call: B^4, B, B^2, B^3, the product B^4 R
+    and R; once the polynomial is formed, the freed power planes hold
+    the magnitudes and the sqrt(tiny) mask of the squarings and every
+    other square.  Every product, the coefficient rows included, writes
+    into a plane of it (np.matmul(..., out=)).  The result is the
+    only other allocation (the square that the last squaring writes, or a
+    copy of the polynomial when there is none), and it owns its memory,
+    so no view keeps the block alive.  The peak is therefore 7 planes:
+    7 n^2 * 8 bytes for a real argument, 14 n^2 * 8 for a complex one,
+    and 7 n^2 * 8 for a complex argument run in real arithmetic (see
+    below), whose complex128 result is made after the block is freed.
+    Fewer fresh planes per call also means fewer first-touch page faults
+    at large n.
 
     Before each squaring, the entries of R (for a complex R, its real
     and imaginary parts) smaller than sqrt(tiny) ~ 1.5e-154 in magnitude
@@ -240,41 +255,38 @@ def _floats(plane: np.ndarray) -> np.ndarray:
 def _taylor_exp(a: np.ndarray) -> np.ndarray:
     """The scaling-and-squaring core of mat_exp, in the arithmetic of a's dtype."""
     n = a.shape[0]
-    powers = np.empty((3, n, n), a.dtype)
-    b, b2, b3 = powers
-    norm = float(np.abs(a, out=_floats(b)[: n * n].reshape(n, n)).sum(axis=0).max())
+    # one block of working planes: B^4, B, B^2, B^3, the product B^4 R and R
+    work = np.empty((6, n, n), a.dtype)
+    b4, b, b2, b3, product, r = work
+    norm = float(np.abs(a, out=_floats(r)[: n * n].reshape(n, n)).sum(axis=0).max())
     squarings = 0 if norm <= 0.5 else int(np.ceil(np.log2(norm) + 1.0))
     np.divide(a, 2.0 ** squarings, out=b)
     np.matmul(b, b, out=b2)
     np.matmul(b2, b, out=b3)
-    blocks = np.empty((4, n, n), a.dtype)
-    # real coefficients act on real and imaginary parts alike
-    np.matmul(_BLOCK_COEFFS, _floats(powers).reshape(3, -1), out=_floats(blocks).reshape(4, -1))
-    for i, c in enumerate(_BLOCK_IDENTITY):
-        blocks[i].reshape(-1)[:: n + 1] += c
-    b4 = np.matmul(b2, b2, out=b)
-    np.multiply(b4, _INV_FACTORIAL[TAYLOR_ORDER], out=b3)
-    blocks[3] += b3
-    r = blocks[3]
-    for i, dst in zip((2, 1, 0), (b3, b2, b3)):
-        np.matmul(b4, r, out=dst)
-        dst += blocks[i]
-        r = dst
-    del blocks
+    np.matmul(b2, b2, out=b4)
+    for i in (3, 2, 1, 0):
+        # R = P_i + B^4 R as one row of coefficients times four adjacent planes;
+        # real coefficients act on real and imaginary parts alike
+        if i < 3:
+            np.matmul(b4, r, out=product)
+        planes = work[:4] if i == 3 else work[1:5]
+        np.matmul(_HORNER_ROWS[i], _floats(planes).reshape(4, -1), out=_floats(r))
+        r.reshape(-1)[:: n + 1] += _BLOCK_IDENTITY[i]
     if not squarings:
         return r.copy()
-    # the squarings alternate between b and a fresh result so the last one
-    # lands in the result; b2 holds the magnitudes for the sqrt(tiny) cut
-    result = np.empty_like(b)
-    magnitude = _floats(b2)
-    small = np.empty(magnitude.size, dtype=bool)
+    # the squarings alternate between a freed power plane and the result, so
+    # the last one lands in the result; b and b2 hold the magnitudes and the
+    # sqrt(tiny) mask
+    result = np.empty_like(r)
+    magnitude = _floats(b)
+    small = _floats(b2).view(bool)[: magnitude.size]
     for k in range(squarings):
         parts = _floats(r)
         np.less(np.abs(parts, out=magnitude), _SQRT_TINY, out=small)
         np.copyto(parts, 0.0, where=small)
-        dst = result if (squarings - k) % 2 else b
-        np.matmul(r, r, out=dst)
-        r = dst
+        target = result if (squarings - k) % 2 else b3
+        np.matmul(r, r, out=target)
+        r = target
     return result
 
 

@@ -274,25 +274,25 @@ class _OpenExponential(NamedTuple):
         return complex(value * self.cos[d], value * self.sin[d])
 
     def matrix(self) -> np.ndarray:
-        """The whole complex128 matrix: peak memory 3 n^2 float64 planes plus O(n).
+        """The whole complex128 matrix: peak memory 2 n^2 float64 planes (the result) plus O(n).
 
-        One plane holds the real E; the complex result (two planes) is
-        the scratch for the two weighted Hankel terms before the phases
-        are written into it.
+        E is built in the result's real parts, with its imaginary parts as
+        the scratch for the two weighted Hankel terms; the phases then
+        write E sin into the imaginary parts and E cos over E.
         """
         n = self.n
         L = n + 1
         sign = -1 if self.transposed else 1
-        real = _band(self.toeplitz, n - 1, sign, -sign, n).copy()
         result = np.empty((n, n), dtype=complex)
-        scratch = result.reshape(-1).view(np.float64)[: n * n].reshape(n, n)
+        real, scratch = result.real, result.imag
+        np.copyto(real, _band(self.toeplitz, n - 1, sign, -sign, n))
         near = self.weights[1 : n + 1]  # v(p'), or v(p) for E_R^T
         far = near[::-1]  # v(L - p), or v(L - p') for E_R^T
         near, far = (near[:, None], far) if self.transposed else (near, far[:, None])
         real -= np.multiply(_band(self.images, 2, 1, 1, n), near, out=scratch)
         real -= np.multiply(_band(self.images, 2 * L - 2, -1, -1, n), far, out=scratch)
-        np.multiply(real, _band(self.cos, n - 1, 1, -1, n), out=result.real)
         np.multiply(real, _band(self.sin, n - 1, 1, -1, n), out=result.imag)
+        np.multiply(real, _band(self.cos, n - 1, 1, -1, n), out=real)
         return result
 
 
@@ -302,8 +302,8 @@ def generating_operator(ops: LatticeOperators, x: float, w: complex = 1.0) -> np
     Open mode is exact in the sine basis of the open chain: a Toeplitz
     matrix minus two weighted Hankel matrices, all gathered from O(n)
     vectors built by one FFT, times the gauge phases u^(m-k)
-    (_OpenExponential).  It takes O(n log n + n^2) time and at most
-    three n^2 float64 planes (the result is two of them).  Every entry
+    (_OpenExponential).  It takes O(n log n + n^2) time and two n^2
+    float64 planes, those of the complex result.  Every entry
     is within a few (1 + |m| + |k|) eps exp((|x|/2)(|w| + 1/|w|)) of
     the exact value; far from the diagonal that rounding, not 0, is what
     comes back.

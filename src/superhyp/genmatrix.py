@@ -36,7 +36,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import _blocked, circulant, circulant_column, roots_of_unity
+from .algebra import _blocked, block_rows, circulant, circulant_column, roots_of_unity
 from .bessel import _comb_sum, bessel_table
 from .errors import (
     ARG_MAX,
@@ -152,6 +152,12 @@ def _cell_sums(n: int, roots, x: np.ndarray, w: np.ndarray, j) -> np.ndarray:
     if not x.size * js.size:
         return np.empty(shape, complex)
 
+    # one set of block arrays for every block; the phase indices l*j mod n
+    # are formed in int32, since (n - 1)^2 < 2^31 up to MAX_LEVEL
+    js32, ls = js.astype(np.int32), np.arange(n, dtype=np.int32)
+    rows = min(block_rows(n), x.size * js.size)
+    indices, phases = np.empty((rows, n), np.int32), np.empty((rows, n), complex)
+
     @functools.lru_cache(maxsize=1)  # a cell whose classes span several blocks is exponentiated once
     def eigenvalues(lo, hi):
         return _eigenvalues(roots, x[lo:hi, None], w[lo:hi, None])
@@ -161,7 +167,11 @@ def _cell_sums(n: int, roots, x: np.ndarray, w: np.ndarray, j) -> np.ndarray:
         lo = int(cell[0])
         exps = eigenvalues(lo, int(cell[-1]) + 1)
         exps = exps[0] if len(exps) == 1 else exps[cell - lo]
-        return (roots[np.multiply.outer(js[k], np.arange(n)) % n] * exps).sum(axis=1) / n
+        index, phase = indices[: k.size], phases[: k.size]
+        np.remainder(np.multiply.outer(js32[k], ls, out=index), n, out=index)
+        np.take(roots, index, out=phase)
+        phase *= exps
+        return phase.sum(axis=1) / n
 
     return _blocked(block, n, range(x.size * js.size)).reshape(shape)
 

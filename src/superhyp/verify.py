@@ -434,10 +434,12 @@ def verify_bessel(x_values=None, kmax=None, w_values=None, tol=None) -> tuple[di
     The two sides then differ by up to tol |I_{k-1}| + U, with the
     underflow term U = 2^-1074 (u_{k-1} + u_{k+1} + (2k/|x|) u_k), and a
     case passes when |lhs - rhs| <= tol |I_{k-1}| + U, judged without
-    dividing by tol.  It reports |lhs - rhs| / (|I_{k-1}| + U/tol) against
-    tol (|lhs - rhs| / |I_{k-1}| at tol = 0), and U in its details where
-    it is not 0.  With no such value (every x of the default grid) U = 0
-    and the residual is |lhs - rhs| / |I_{k-1}|.
+    dividing by tol.  Where U is not 0 it reports |lhs - rhs| /
+    (|I_{k-1}| + U) against (tol |I_{k-1}| + U) / (|I_{k-1}| + U), so the
+    margin is |lhs - rhs| / (tol |I_{k-1}| + U) at every tol >= 0 and a
+    passing case never reads above 1, with U in its details.  With no such
+    value (every x of the default grid) U = 0 and the residual is
+    |lhs - rhs| / |I_{k-1}| against tol.
     generating_function: one call per x for all weights (one table).
     """
     x_values = _grid(x_values, "bessel_x", _x)
@@ -510,13 +512,17 @@ def _recurrence(x_values, tol: float) -> Check:
             scales.append(np.abs(table[:20]))
             underflows.append(_SUBNORMAL * (lost[:20].astype(int) + lost[2:22]) + lost[1:21] * (2 * k * _SUBNORMAL / abs(x)))
         difference, scale, underflow = map(np.concatenate, (differences, scales, underflows))
-        passed = difference <= tol * scale + underflow
-        # sides that agree are no defect, where 0 / 0 would give a NaN residual
-        allowance = np.where(underflow == 0, 0.0, underflow / tol) if tol else 0.0
-        residual = np.where(difference == 0, 0.0, difference / (scale + allowance))
+        bound = tol * scale + underflow
+        passed = difference <= bound
+        # residual and tolerance both relative to |I_{k-1}| + U, so the margin is
+        # |lhs - rhs| / bound at any tol; sides that agree are no defect, where
+        # 0 / 0 would give a NaN residual
+        relative = scale + underflow
+        residual = np.where(difference == 0, 0.0, difference / relative)
+        tolerance = np.where(underflow == 0, tol, bound / relative)
     details = {i: {"underflow": u} for i, u in enumerate(underflow.tolist()) if u}
     inputs = {"x": np.repeat(x_values, 20), "k": np.tile(k, len(x_values)), "identity": "recurrence"}
-    return _check("recurrence", inputs, residual, tol, details, passed)
+    return _check("recurrence", inputs, residual, tolerance, details, passed)
 
 
 def verify_genmatrix(n_values=None, x_values=None, w_values=None, tol=None) -> tuple[dict, list]:

@@ -226,18 +226,25 @@ def test_mat_exp_returns_no_subnormal_entry_on_the_open_lattice(x, r):
     assert np.abs(got[got != 0.0]).min() >= np.finfo(float).tiny
 
 
-@pytest.mark.parametrize("norm", [0.3, 7.0])
-@pytest.mark.parametrize("kind, planes", [("real", 7), ("real-valued complex", 7), ("complex", 14)])
-def test_mat_exp_peak_working_memory(kind, planes, norm):
-    # the docstring's bound: 7 planes of the working dtype, counted here in n^2 * 8 bytes
-    n = 512
-    rng = np.random.default_rng(512)
+def _argument(kind, norm, n):
+    # a random n x n argument of 1-norm `norm`: real, complex with zero
+    # imaginary parts, or complex
+    rng = np.random.default_rng(n)
     a = rng.standard_normal((n, n))
     a *= norm / np.abs(a).sum(axis=0).max()
     if kind == "complex":
         a = a + 1j * (norm / n) * rng.standard_normal((n, n))
     elif kind == "real-valued complex":
         a = a.astype(complex)
+    return a
+
+
+@pytest.mark.parametrize("norm", [0.3, 7.0])
+@pytest.mark.parametrize("kind, planes", [("real", 7), ("real-valued complex", 7), ("complex", 14)])
+def test_mat_exp_peak_working_memory(kind, planes, norm):
+    # the docstring's bound: 7 planes of the working dtype, counted here in n^2 * 8 bytes
+    n = 512
+    a = _argument(kind, norm, n)
     tracemalloc.start()
     try:
         algebra.mat_exp(a)
@@ -246,6 +253,30 @@ def test_mat_exp_peak_working_memory(kind, planes, norm):
         tracemalloc.stop()
     plane = n * n * 8
     assert peak <= planes * plane + plane // 16, peak / plane
+
+
+# 1-norms taking 0, 1, 2 and 3 squarings: the result is the copy of the
+# polynomial, or the last square written into it
+SQUARING_NORMS = [0.3, 0.7, 1.5, 3.0]
+KINDS = ["real", "real-valued complex", "complex"]
+
+
+@pytest.mark.parametrize("norm", SQUARING_NORMS)
+@pytest.mark.parametrize("kind", KINDS)
+def test_mat_exp_result_owns_its_memory(kind, norm):
+    # no view into the working planes, which would keep all of them alive
+    got = algebra.mat_exp(_argument(kind, norm, 9))
+    assert got.base is None and got.flags.owndata and got.flags.writeable
+    assert got.flags.c_contiguous and got.shape == (9, 9)
+
+
+@pytest.mark.parametrize("norm", SQUARING_NORMS)
+@pytest.mark.parametrize("kind", KINDS)
+def test_mat_exp_calls_share_no_memory(kind, norm):
+    a = _argument(kind, norm, 9)
+    first, second = algebra.mat_exp(a), algebra.mat_exp(a)
+    assert not np.shares_memory(first, second)
+    assert first.tobytes() == second.tobytes()
 
 
 def _gather_circulant(col, rows):

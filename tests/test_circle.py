@@ -334,8 +334,8 @@ def test_element_allocates_no_matrix_at_the_size_cap():
 
 
 def test_open_operator_peak_memory():
-    # the docstring's bound: three n^2 float64 planes (the complex result
-    # is two of them) plus O(n) vectors; build_lattice adds no plane
+    # the docstring's bound: two n^2 float64 planes (the complex result)
+    # plus O(n) vectors; build_lattice adds no plane
     N = 1000
     plane = (2 * N + 1) ** 2 * 8
     for x, w in ((20.0, 2.0), (20.0, 0.8 * np.exp(1j * np.pi / 5)), (5.0, 1j)):
@@ -345,7 +345,7 @@ def test_open_operator_peak_memory():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 3 * plane + 2**20, peak / plane
+        assert peak <= 2 * plane + 2**20, peak / plane
 
 
 def _image_sum(N, x, w, m, k, cache):

@@ -192,6 +192,17 @@ def test_exponential_sum_rows_are_the_int_calls(n):
         assert genmatrix.exponential_sum(n, x, w, [n - 1, 0, n - 1]).tobytes() == want[[n - 1, 0, n - 1]].tobytes()
 
 
+@pytest.mark.parametrize("n", [MAX_LEVEL - 1, MAX_LEVEL])
+def test_exponential_sum_rows_are_the_int_calls_at_the_level_cap(n):
+    # the batch forms its phase indices l*j in int32, up to (n - 1)^2 here,
+    # the int-j call in int64; at n = 4095 a wrapped product would change
+    # its residue mod n
+    js = np.arange(n)
+    rows = genmatrix.exponential_sum(n, 1.3, W_SET[2], js)
+    want = np.array([genmatrix.exponential_sum(n, 1.3, W_SET[2], j) for j in range(n)])
+    assert rows.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("j", [[0, 3], [-1], [[0]], [0.0, 1.0], [True], "0", [0, 1.5]])
 def test_exponential_sum_rejects_bad_class_arrays(j):
     with pytest.raises(DomainError):

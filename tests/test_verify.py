@@ -69,9 +69,12 @@ def test_a_zero_tolerance_is_valid():
         report = verify.run_suite(suite, tol=0, **ZERO_TOLERANCE_GRIDS[suite])
         assert set(report.params["tol"].values()) == {0.0}
         cases = report.cases
-        assert all(c.tolerance == 0.0 for c in cases)
+        # the recurrence's underflow allowance U does not scale with tol: its
+        # cases read their tolerance relative to |I_{k-1}| + U, U / (|I_{k-1}| + U)
+        assert all(c.tolerance == 0.0 for c in cases if "underflow" not in c.details)
+        assert all(0.0 < c.tolerance <= 1.0 for c in cases if "underflow" in c.details)
         # an exact agreement passes, a nonzero residual fails, but for the
-        # recurrence's underflow allowance, which does not scale with tol
+        # recurrence's underflow allowance
         exact = [c for c in cases if c.residual == 0]
         assert exact and all(c.passed for c in exact), suite
         for c in cases:
@@ -87,6 +90,21 @@ def test_the_recurrence_underflow_allowance_holds_at_zero_tolerance():
     recurrence = [c for c in report.cases if c.inputs["identity"] == "recurrence"]
     assert any(c.details and c.residual > 0 for c in recurrence)
     assert all(c.passed for c in recurrence)
+    # the margin |lhs - rhs| / (tol |I_{k-1}| + U) agrees with the verdict
+    summary = next(c for c in report.checks if c.name == "recurrence").summary()
+    assert summary["failed"] == 0 and 0.0 < summary["worst_margin"] <= 1.0, summary
+
+
+@pytest.mark.parametrize("tol", [0, None])
+@pytest.mark.parametrize("suite", verify.SUITE_NAMES)
+def test_a_passing_check_reports_no_margin_above_one(suite, tol):
+    # the margin is residual / tolerance; a check that passes every case,
+    # on an underflow allowance too, reads at most 1
+    report = verify.run_suite(suite, tol=tol, **ZERO_TOLERANCE_GRIDS[suite])
+    passing = [c for c in report.checks if c.passed.all()]
+    assert passing or tol == 0
+    for check in passing:
+        assert check.summary()["worst_margin"] <= 1.0, (suite, check.name)
 
 
 @pytest.mark.parametrize("suite", ["addition", "mixed"])
