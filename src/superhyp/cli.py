@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import inspect
 import io
 import json
@@ -79,10 +80,10 @@ def parse_complex(text: str) -> complex:
     return complex(float(text), 0.0)
 
 
-def positive_float(text: str) -> float:
+def nonnegative_float(text: str) -> float:
     value = float(text)
-    if not value > 0:
-        raise FlagValueError(f"must be positive, got {value}")
+    if not value >= 0:
+        raise FlagValueError(f"must be a number >= 0, got {value}")
     return value
 
 
@@ -265,7 +266,7 @@ FLAGS = {
     "mode": {"choices": ("cyclic", "open")},
     "alpha": {"type": float, "help": "gauge offset in [0,1)"},
     "kmax": {"type": int, "help": "highest order / truncation"},
-    "tol": {"type": positive_float, "help": "tolerance override"},
+    "tol": {"type": nonnegative_float, "help": "tolerance override"},
     "trials": {"type": positive_int, "help": "random trials per level"},
     "seed": {"type": int},
     "format": {"choices": ("json", "csv")},
@@ -324,5 +325,18 @@ def main(argv=None) -> int:
         return EXIT_USAGE
 
 
+def run(argv=None) -> int:
+    """`main` for a process that ends when it returns: the `superhyp` script and `python -m superhyp`.
+
+    On the way out, argparse's SystemExit included, it freezes the heap,
+    so the collection at interpreter shutdown walks none of the objects
+    the imports and the command made.  In-process callers use `main`.
+    """
+    try:
+        return main(argv)
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(run())

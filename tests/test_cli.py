@@ -244,7 +244,7 @@ def test_the_cli_import_loads_no_module_beyond_its_budget():
     # the cli-process setup time is this import, after numpy: it may load
     # superhyp's own modules and these, and nothing more
     budget = {
-        "__future__", "_csv", "_json", "argparse", "cmath", "csv", "gettext",
+        "__future__", "_csv", "_json", "argparse", "cmath", "csv", "gc", "gettext",
         "json", "json.decoder", "json.encoder", "json.scanner",
     }
     env = dict(os.environ, PYTHONPATH=str(Path(superhyp.__file__).parents[1]))
@@ -356,7 +356,7 @@ def test_rejected_grid_names_the_reason(capsys):
     "argv",
     [
         ["eval", "superhyp", "--n", "3..1"],
-        ["verify", "superhyp", "--tol", "0"],
+        ["verify", "superhyp", "--tol", "-1"],
         ["verify", "addition", "--trials", "0"],
         ["eval", "superhyp", "--y", "1"],
         ["bench", "circulant-exp-dense", "--n", "4"],
@@ -386,6 +386,14 @@ def test_verify_report_deterministic_up_to_wall_time(capsys):
         _, second = run_cli(capsys, *argv)
         assert _WALL_TIME.sub("", first) == _WALL_TIME.sub("", second), suite
         assert len(_WALL_TIME.findall(first)) == 1
+
+
+def test_a_zero_tol_flag_is_the_library_zero_tolerance(capsys):
+    # --tol takes any number >= 0, as the suites do; three of circle's own tolerances are 0
+    code, out = run_cli(capsys, "verify", "circle", "--tol", "0")
+    report = verify.run_suite("circle", tol=0)
+    assert code == (cli.EXIT_PASS if report.passed else cli.EXIT_VERIFY_FAIL)
+    assert _WALL_TIME.sub("", out) == _WALL_TIME.sub("", report.to_json()) + "\n"
 
 
 REFERENCE_GRIDS = [[s] for s in verify.SUITE_NAMES] + [
@@ -470,6 +478,124 @@ def test_unwritable_out_path_is_usage_error(tmp_path, capsys):
     target = tmp_path / "missing_dir" / "report.json"
     code = cli.main(["verify", "pauli", "--n", "2..3", "--out", str(target)])
     assert code == 2
+
+
+# -- the process exit path: cli.run, the package import and the collector ------
+
+def _child_env():
+    return dict(os.environ, PYTHONPATH=str(Path(superhyp.__file__).parents[1]))
+
+
+def _python(*argv, **kwargs):
+    """Run this interpreter on superhyp's sources in a child process."""
+    return subprocess.run([sys.executable, *argv], capture_output=True, env=_child_env(), **kwargs)
+
+
+_RUN_AND_MAIN = """
+import contextlib, gc, io, json, sys
+from superhyp import cli
+
+def code_of(call, argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return call(argv)
+        except SystemExit as exc:
+            return exc.code
+
+rows = []
+for argv in json.loads(sys.argv[1]):
+    gc.unfreeze()
+    by_main = code_of(cli.main, argv)
+    frozen_by_main = gc.get_freeze_count()
+    rows.append([by_main, frozen_by_main, code_of(cli.run, argv), gc.get_freeze_count()])
+print(json.dumps(rows))
+"""
+
+
+def test_run_returns_what_main_returns_and_freezes_the_heap():
+    # in a child process, so the heap of this one is never frozen
+    outcomes = [
+        (["verify", "pauli", "--n", "2..3"], cli.EXIT_PASS),
+        (["verify", "superhyp", "--n", "2", "--x", "10"], cli.EXIT_VERIFY_FAIL),
+        (["eval", "superhyp", "--y", "1"], cli.EXIT_USAGE),  # argparse's SystemExit
+        (["verify", "pauli", "--x", "5"], cli.EXIT_USAGE),
+        (["eval", "superhyp", "--n", "3", "--x", "1000"], cli.EXIT_DOMAIN),
+    ]
+    proc = _python("-c", _RUN_AND_MAIN, json.dumps([argv for argv, _ in outcomes]), text=True, check=True)
+    for (argv, expected), (by_main, frozen_by_main, by_run, frozen_by_run) in zip(outcomes, json.loads(proc.stdout)):
+        assert by_main == by_run == expected, argv
+        assert frozen_by_main == 0 and frozen_by_run > 0, argv
+
+
+_RUN_AS_MAIN = """
+import contextlib, gc, io, runpy, sys
+module, sys.argv[1:] = sys.argv[1], ["verify", "pauli", "--n", "2"]
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        runpy.run_module(module, run_name="__main__")
+    except SystemExit as exc:
+        code = exc.code
+print(code, gc.get_freeze_count() > 0)
+"""
+
+
+@pytest.mark.parametrize("module", ["superhyp", "superhyp.cli"])
+def test_every_entry_point_goes_through_run(module):
+    proc = _python("-c", _RUN_AS_MAIN, module, text=True, check=True)
+    assert proc.stdout == "0 True\n"
+    pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+    assert 'superhyp = "superhyp.cli:run"' in pyproject
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table", "superhyp", "--n", "4", "--x", "-3..3:0.5"],
+        ["verify", "addition", "--n", "2..5", "--seed", "3"],
+    ],
+    ids=" ".join,
+)
+def test_an_out_file_of_a_process_is_the_in_process_file(tmp_path, capsys, argv):
+    proc = _python("-m", "superhyp", *argv, "--out", str(tmp_path / "process.out"))
+    assert proc.returncode == cli.main([*argv, "--out", str(tmp_path / "main.out")])
+    assert proc.stdout == proc.stderr == b"" and capsys.readouterr().out == ""
+    written = [_WALL_TIME.sub("", (tmp_path / name).read_bytes().decode()) for name in ("process.out", "main.out")]
+    assert written[0] == written[1]
+
+
+def test_a_reader_that_closes_the_pipe_gets_one_error_line():
+    # the default mixed report is about 250 kB, more than a pipe holds, so its write meets the closed pipe
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "superhyp", "verify", "mixed"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env(),
+    )
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == cli.EXIT_USAGE
+    assert err == b"error: [Errno 32] Broken pipe\n"
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_the_package_import_leaves_the_collector_as_it_found_it(enabled):
+    switch = "gc.enable()" if enabled else "gc.disable()"
+    proc = _python("-c", f"import gc; {switch}; import superhyp; print(gc.isenabled())", text=True, check=True)
+    assert proc.stdout == f"{enabled}\n"
+
+
+def test_the_package_import_starts_at_most_one_collection():
+    # paused, the import of numpy and superhyp starts none; the first allocation
+    # after the collector is back starts one young pass (without the pause: 31 young, 2 middle)
+    code = (
+        "import gc\n"
+        "starts = []\n"
+        "gc.callbacks.append(lambda phase, info: phase == 'start' and starts.append(info['generation']))\n"
+        "import superhyp\n"
+        "print(starts)\n"
+    )
+    proc = _python("-c", code, text=True, check=True)
+    assert proc.stdout in ("[]\n", "[0]\n")
 
 
 # -- every argv ends in an exit code ------------------------------------------
